@@ -112,12 +112,6 @@ class GeomancyConfig:
     #: modeling target: "throughput" (the paper's live system) or
     #: "latency" (the sensitivity the paper defers to future work)
     target: str = "throughput"
-    #: drive workload runs through the vectorized access pipeline
-    #: (Cluster.access_batch / StorageDevice.serve_batch).  Bit-for-bit
-    #: identical to the scalar reference loop -- same RNG draw order per
-    #: device -- so this only trades per-access Python overhead for
-    #: batched numpy kernels; disable to run the scalar oracle instead
-    batched_simulation: bool = True
     #: -- durability & safe mode (repro.recovery) -------------------------
     #: checkpoint the full system state every N measured runs (0 disables;
     #: consumed by the recoverable harness, ignored by ordinary runs)
@@ -219,20 +213,6 @@ class GeomancyConfig:
     #: route sustained SLO burn alerts into the guardrail as external
     #: trips (requires a guardrail-carrying harness and slo_enabled)
     slo_arm_guardrail: bool = False
-    #: -- sharded scale-out (repro.sharding / experiments.scale) ----------
-    #: decision shards the scale harness partitions devices/files into;
-    #: 1 (the default) is the legacy single-agent path, bit-for-bit
-    #: identical to runs that predate the sharding layer
-    shards: int = 1
-    #: worker processes the scale harness may spread shard cells over
-    #: (1 = the deterministic serial fallback)
-    shard_workers: int = 1
-    #: a cross-shard move is accepted only when the destination shard's
-    #: observed throughput beats the source's by this fraction
-    cross_shard_margin: float = 0.10
-    #: cross-shard moves the coordinator may accept per fusion boundary
-    #: (0 disables cross-shard migration entirely)
-    max_cross_shard_moves: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -502,24 +482,6 @@ class GeomancyConfig:
         if self.slo_arm_guardrail and not self.slo_enabled:
             raise ConfigurationError(
                 "slo_arm_guardrail requires slo_enabled"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shard_workers < 1:
-            raise ConfigurationError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
-        if self.cross_shard_margin < 0:
-            raise ConfigurationError(
-                f"cross_shard_margin must be >= 0, "
-                f"got {self.cross_shard_margin}"
-            )
-        if self.max_cross_shard_moves < 0:
-            raise ConfigurationError(
-                f"max_cross_shard_moves must be >= 0, "
-                f"got {self.max_cross_shard_moves}"
             )
         for spec in self.fault_schedule:
             # Raises ConfigurationError on a malformed entry.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.recovery.weight_snapshots import WeightSnapshotStore
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.replaydb.replay_buffer import PrioritizedReplay
+
+#: telemetry rows the ReplayDB must hold before the engine first trains
+MIN_TRAINING_ROWS = 50
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -118,6 +121,20 @@ class TrainingReport:
         predicts will increase throughput performance".
         """
         return not self.diverged and self.test_mare < self.constant_mare
+
+
+@dataclass
+class Decision:
+    """What one gated decision step (:meth:`DRLEngine.decide`) concluded."""
+
+    #: None when the ReplayDB held too few rows to train
+    training: TrainingReport | None = None
+    #: fid -> proposed device; None when the step stopped before proposing
+    proposal: dict[int, str] | None = None
+    #: fid -> predicted gain over staying put (bytes/s)
+    gains: dict[int, float] = field(default_factory=dict)
+    #: a skill, divergence, error-ceiling or ranking gate stopped the step
+    vetoed: bool = False
 
 
 class DRLEngine:
@@ -314,9 +331,15 @@ class DRLEngine:
                 adjustment_mae=self.adjuster.mae,
                 adjustment_sign=self.adjuster.sign,
             )
+        return self._finish_training(report, len(records), elapsed)
+
+    def _finish_training(
+        self, report: TrainingReport, rows: int, elapsed: float
+    ) -> TrainingReport:
+        """Publish a training cycle's report and metrics."""
         self.last_report = report
         self._m_trainings.inc()
-        self._m_train_rows.inc(len(records))
+        self._m_train_rows.inc(rows)
         self._h_train.observe(elapsed)
         self._h_engine_train.observe(elapsed)
         self._g_test_mare.set(report.test_mare)
@@ -529,14 +552,52 @@ class DRLEngine:
                 replayed_rows=len(replayed),
                 drift_detected=drift,
             )
-        self.last_report = report
-        self._m_trainings.inc()
-        self._m_train_rows.inc(len(records))
-        self._h_train.observe(elapsed)
-        self._h_engine_train.observe(elapsed)
-        self._g_test_mare.set(report.test_mare)
-        self._g_skillful.set(1.0 if report.skillful else 0.0)
-        return report
+        return self._finish_training(report, len(records), elapsed)
+
+    # -- the gated decision step --------------------------------------------
+    def decide(
+        self,
+        db: ReplayDB,
+        fids: list[int],
+        device_by_fsid: dict[int, str],
+    ) -> Decision:
+        """One gated decision step: train, check the gates, propose.
+
+        Trains (incrementally in online mode) once the ReplayDB holds
+        :data:`MIN_TRAINING_ROWS` rows, then vetoes the cycle when the
+        model lacks skill, diverged, errs above ``max_actionable_mare``,
+        or ranks the devices opposite to the telemetry; otherwise
+        proposes a layout for ``fids`` over ``device_by_fsid``.  The
+        caller filters the proposal (Action Checker, move cap) itself.
+        """
+        if db.access_count() < MIN_TRAINING_ROWS:
+            return Decision()
+        report = (
+            self.train_incremental(db)
+            if self.config.online_learning
+            else self.train(db)
+        )
+        if (
+            (self.config.require_skill and not report.skillful)
+            or report.diverged
+            or report.test_mare > self.config.max_actionable_mare
+        ):
+            # A diverged or skill-less model's layout would be noise; skip
+            # this cycle and let the next retraining try again.
+            return Decision(training=report, vetoed=True)
+        if not device_by_fsid:
+            return Decision(training=report)
+        with self.obs.span("ranking_check"):
+            inverted = (
+                self.config.require_ranking_sanity
+                and self.ranking_correlation(db, device_by_fsid) < 0.0
+            )
+        if inverted:
+            # Acting on an inverted ranking would herd files onto the
+            # worst devices.
+            return Decision(training=report, vetoed=True)
+        proposal, gains = self.propose_layout(db, fids, device_by_fsid)
+        return Decision(training=report, proposal=proposal, gains=gains)
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:

@@ -45,10 +45,10 @@ from repro.workloads.files import FileSpec
 
 @dataclass
 class StepOutcome:
-    """What one ``after_run`` consultation did."""
+    """What one control cycle (``after_run`` or a fallback cycle) did."""
 
     run_index: int
-    trained: bool = False
+    #: the cycle's training report (None when the engine did not train)
     training: TrainingReport | None = None
     movements: list[MovementRecord] = field(default_factory=list)
     #: files rescued off offline devices this cycle
@@ -59,19 +59,16 @@ class StepOutcome:
     predicted_gbps: float | None = None
 
     @property
-    def moved_files(self) -> int:
-        return sum(1 for move in self.movements if move.succeeded)
+    def trained(self) -> bool:
+        return self.training is not None
 
     @property
-    def failed_moves(self) -> int:
-        return sum(1 for move in self.movements if not move.succeeded)
+    def moved_files(self) -> int:
+        return sum(1 for move in self.movements if move.succeeded)
 
 
 class Geomancy:
     """Geomancy attached to one target cluster and one workload file set."""
-
-    #: accesses required in the ReplayDB before the engine first trains
-    MIN_TRAINING_ACCESSES = 50
 
     def __init__(
         self,
@@ -410,11 +407,6 @@ class Geomancy:
                 entry.drift_detected = report.drift_detected
         self.ledger.record_decision(entry)
 
-    def _drive_retries(self, outcome: StepOutcome, t: float) -> None:
-        """Give backed-off failed moves another chance this cycle."""
-        if self.control.has_due_retries(t):
-            outcome.movements.extend(self._dispatch({}, t, kind="retry"))
-
     def _rescue_layout(self, available: list[str]) -> dict[int, str]:
         """Targets for files stranded on offline devices.
 
@@ -442,19 +434,23 @@ class Geomancy:
             free[target] -= info.size_bytes
         return layout
 
-    def after_run(self, run_index: int, t: float) -> StepOutcome:
-        """Consult Geomancy after workload run ``run_index`` finished at ``t``.
+    def begin_cycle(
+        self, run_index: int, t: float
+    ) -> tuple[StepOutcome, list[str] | None]:
+        """Open control cycle ``run_index`` and do its safety duties.
 
-        Trains + moves only when the cooldown scheduler allows it and
-        enough telemetry has accumulated.  Independent of training, every
-        eligible cycle first rescues files stranded on offline devices and
-        re-attempts failed moves whose retry backoff has expired.
+        Records the cycle's outcome and, when the cooldown scheduler lets
+        this cycle act, rescues files stranded on offline devices before
+        (and regardless of) any layout change.  Returns the outcome and
+        the devices eligible for new placements -- None when the
+        scheduler skips the cycle.  The facade's own decision step and a
+        recovery harness's fallback policy both start here.
         """
         outcome = StepOutcome(run_index=run_index)
         self.outcomes.append(outcome)
         self._m_ticks.inc()
         if not self.scheduler.should_move(run_index):
-            return outcome
+            return outcome, None
         # Only devices currently accepting placements -- and not
         # quarantined by the health tracker -- are candidates; the Action
         # Checker is the final filter in case availability changed between
@@ -462,8 +458,6 @@ class Geomancy:
         available = self.health.healthy(
             self.cluster.available_device_names, t
         )
-        # Priority re-placement: files stranded on offline mounts are
-        # rescued before (and regardless of) any model-driven layout.
         rescue = self._rescue_layout(available)
         if rescue:
             with self.obs.span("rescue", files=len(rescue)):
@@ -479,61 +473,62 @@ class Geomancy:
                 attempted=len(rescue),
                 targets={str(fid): dst for fid, dst in sorted(rescue.items())},
             )
-        if self.db.access_count() < self.MIN_TRAINING_ACCESSES:
-            self._drive_retries(outcome, t)
+        return outcome, available
+
+    def drive_retries(self, outcome: StepOutcome, t: float) -> None:
+        """Give backed-off failed moves another chance this cycle."""
+        if self.control.has_due_retries(t):
+            outcome.movements.extend(self._dispatch({}, t, kind="retry"))
+
+    def after_run(self, run_index: int, t: float) -> StepOutcome:
+        """Consult Geomancy after workload run ``run_index`` finished at ``t``.
+
+        Trains + moves only when the cooldown scheduler allows it and
+        enough telemetry has accumulated.  Independent of training, every
+        eligible cycle first rescues files stranded on offline devices and
+        re-attempts failed moves whose retry backoff has expired.
+        """
+        outcome, available = self.begin_cycle(run_index, t)
+        if available is None:
             return outcome
-        outcome.training = (
-            self.engine.train_incremental(self.db)
-            if self.config.online_learning
-            else self.engine.train(self.db)
-        )
-        outcome.trained = True
-        if (
-            (self.config.require_skill and not outcome.training.skillful)
-            or outcome.training.diverged
-            or outcome.training.test_mare > self.config.max_actionable_mare
-        ):
-            # A diverged or skill-less model's layout would be noise; skip
-            # this cycle and let the next retraining try again.
-            self._m_skipped.inc()
-            self._drive_retries(outcome, t)
+        changes = self._checked_changes(outcome, available)
+        if not changes:
+            self.drive_retries(outcome, t)
             return outcome
-        device_by_fsid = {
-            self.cluster.device(name).fsid: name for name in available
-        }
-        if not device_by_fsid:
-            self._drive_retries(outcome, t)
-            return outcome
-        with self.obs.span("ranking_check"):
-            ranking_ok = not (
-                self.config.require_ranking_sanity
-                and self.engine.ranking_correlation(self.db, device_by_fsid)
-                < 0.0
-            )
-        if not ranking_ok:
-            # The model currently ranks devices opposite to what telemetry
-            # shows; acting on it would herd files onto the worst mounts.
-            self._m_skipped.inc()
-            self._drive_retries(outcome, t)
-            return outcome
+        self._m_acted.inc()
+        outcome.movements.extend(self._dispatch(as_layout(changes), t))
+        return outcome
+
+    def _checked_changes(self, outcome: StepOutcome, available: list[str]):
+        """The engine's gated proposal, filtered down to the moves to make."""
         fids = [spec.fid for spec in self.files]
-        proposal, gains = self.engine.propose_layout(
-            self.db, fids, device_by_fsid
+        decision = self.engine.decide(
+            self.db,
+            fids,
+            {self.cluster.device(name).fsid: name for name in available},
         )
+        outcome.training = decision.training
+        if decision.proposal is None:
+            if decision.vetoed:
+                self._m_skipped.inc()
+            return []
         if self.engine.last_predicted_mean is not None:
             outcome.predicted_gbps = (
                 self.engine.last_predicted_mean / BYTES_PER_GB
             )
             self._g_predicted.set(outcome.predicted_gbps)
+        fidset = set(fids)
         current = {
             fid: device for fid, device in self.cluster.layout().items()
-            if fid in set(fids)
+            if fid in fidset
         }
-        with self.obs.span("action_check", proposals=len(proposal)):
-            checked = self.checker.check(proposal, set(available), current)
+        with self.obs.span("action_check", proposals=len(decision.proposal)):
+            checked = self.checker.check(
+                decision.proposal, set(available), current
+            )
             changes = layout_diff(current, checked)
             changes = cap_moves(
-                changes, self.config.max_files_per_move, gains
+                changes, self.config.max_files_per_move, decision.gains
             )
         if self.gap_scheduler is not None:
             # Section X extension: only move files whose observed access
@@ -551,29 +546,7 @@ class Geomancy:
             ]
         if not changes:
             self._m_skipped.inc()
-            self._drive_retries(outcome, t)
-            return outcome
-        self._m_acted.inc()
-        outcome.movements.extend(self._dispatch(as_layout(changes), t))
-        return outcome
-
-    def export_candidates(self, limit: int, *, shard: int = 0):
-        """The ``limit`` files this instance serves worst, for scale-out.
-
-        Reads the engine's chosen-placement scores from its most recent
-        proposal: the files with the lowest predicted throughput even at
-        their best local device are the ones a sharded deployment should
-        offer to a faster shard.  Returns
-        :class:`~repro.sharding.coordinator.ExportCandidate` tuples
-        stamped with ``shard`` (the caller's shard id); empty before the
-        first proposal.
-        """
-        from repro.sharding.coordinator import select_exports
-
-        sizes = {info.fid: info.size_bytes for info in self.cluster.files}
-        return select_exports(
-            self.engine.last_chosen_scores, sizes, shard=shard, limit=limit
-        )
+        return changes
 
     # -- reporting -----------------------------------------------------------
     @property

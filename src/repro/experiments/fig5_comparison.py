@@ -15,6 +15,7 @@ from repro.errors import ExperimentError
 from repro.experiments.harness import (
     PolicyRunResult,
     make_experiment_config,
+    random_warm_up,
     run_policy_experiment,
 )
 from repro.experiments.reporting import (
@@ -152,25 +153,12 @@ def collect_random_dynamic_telemetry(
     """Warm-up telemetry from a random-dynamic run (paper section VI:
     Geomancy static "uses approximately 10,000 performance metrics from the
     dynamic random experiment")."""
-    cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
-    db = ReplayDB()
     runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), db
+        make_bluesky_cluster(seed=seed), Belle2Workload(files, seed=1)
     )
-    policy = RandomDynamicPolicy(seed=seed)
-    runner.ensure_files_placed(
-        policy.initial_layout(files, cluster.device_names)
-    )
-    run_number = 0
-    while db.access_count() < scale.warmup_accesses:
-        runner.run_once()
-        run_number += 1
-        if run_number % scale.update_every == 0:
-            layout = policy.update_layout(db, files, cluster.device_names)
-            if layout:
-                cluster.apply_layout(layout, runner.clock.now)
-    return db
+    random_warm_up(runner, files, scale=scale, seed=seed)
+    return runner.db
 
 
 def run_fig5b(

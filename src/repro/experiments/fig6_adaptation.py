@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import make_experiment_config
+from repro.experiments.harness import consult_policy, make_experiment_config
 from repro.experiments.reporting import bucket_series, sparkline
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.policies.geomancy_policy import GeomancyDynamicPolicy
@@ -134,10 +134,7 @@ def run_fig6(
     cluster = make_bluesky_cluster(seed=seed)
     clock = SimulationClock()
     files = belle2_file_population(seed=seed)
-    db = ReplayDB()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), db, clock=clock
-    )
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), clock=clock)
     device_by_fsid = {
         cluster.device(name).fsid: name for name in cluster.device_names
     }
@@ -151,28 +148,12 @@ def run_fig6(
     runner.warm_up(scale.warmup_accesses)
 
     result = Fig6Result()
-    run_number = 0
-
-    def tuned_step() -> None:
-        nonlocal run_number
+    # Phase 1: alone.
+    for run_number in range(1, runs_before + 1):
         run = runner.run_once()
         result.tuned_gbps.extend(r.throughput_gbps for r in run.records)
-        run_number += 1
         if run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            layout = policy.update_layout(
-                db, files, cluster.device_names, current
-            )
-            if layout:
-                cluster.apply_layout(layout, clock.now)
-
-    # Phase 1: alone.
-    for _ in range(runs_before):
-        tuned_step()
+            consult_policy(policy, runner, files)
     result.disturbance_access = len(result.tuned_gbps)
 
     # Phase 2: the duplicate workload joins, untouched by Geomancy.  Its
@@ -199,8 +180,7 @@ def run_fig6(
     dup_runner.ensure_files_placed(mirror)
     # Interleave the two workloads access-by-access so they genuinely
     # contend inside each device's utilization window.
-    def interleaved_tuned_run() -> None:
-        nonlocal run_number
+    for run_number in range(runs_before + 1, runs_before + runs_after + 1):
         tuned_stream = runner.run_stream()
         dup_stream = dup_runner.run_stream()
         while True:
@@ -215,19 +195,6 @@ def run_fig6(
                 progressed = True
             if not progressed:
                 break
-        run_number += 1
         if run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            layout = policy.update_layout(
-                db, files, cluster.device_names, current
-            )
-            if layout:
-                cluster.apply_layout(layout, clock.now)
-
-    for _ in range(runs_after):
-        interleaved_tuned_run()
+            consult_policy(policy, runner, files)
     return result

@@ -22,7 +22,6 @@ from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.policies.base import PlacementPolicy
 from repro.policies.random_policy import RandomDynamicPolicy
-from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.cluster import StorageCluster
@@ -83,6 +82,62 @@ def make_experiment_config(
     return GeomancyConfig(**params)
 
 
+def random_warm_up(
+    runner: WorkloadRunner,
+    files: list[FileSpec],
+    *,
+    scale: ExperimentScale,
+    seed: int,
+) -> None:
+    """Place ``files`` randomly and run until the ReplayDB is warm.
+
+    Telemetry lands in the runner's DB but is not measured.  The layout
+    is reshuffled every ``update_every`` runs so the warm-up telemetry
+    covers (file, device) combinations -- the paper's warm-up data for
+    Geomancy static likewise comes "from the dynamic random experiment".
+    """
+    cluster, db = runner.cluster, runner.db
+    shuffler = RandomDynamicPolicy(seed=seed)
+    runner.ensure_files_placed(
+        shuffler.initial_layout(files, cluster.device_names)
+    )
+    warm_runs = 0
+    while db.access_count() < scale.warmup_accesses:
+        runner.run_once()
+        warm_runs += 1
+        if warm_runs % scale.update_every == 0:
+            shuffled = shuffler.update_layout(db, files, cluster.device_names)
+            if shuffled:
+                cluster.apply_layout(shuffled, runner.clock.now)
+
+
+def consult_policy(
+    policy: PlacementPolicy, runner: WorkloadRunner, files: list[FileSpec]
+) -> list[MovementRecord]:
+    """One decision point: ask ``policy`` for a relayout and apply it.
+
+    The policy sees the current placement of ``files`` and the devices
+    accepting placements; its moves are applied at the runner's clock
+    and recorded in the runner's ReplayDB.  Returns the moves.
+    """
+    cluster, db = runner.cluster, runner.db
+    fids = {f.fid for f in files}
+    current = {
+        fid: device
+        for fid, device in cluster.layout().items()
+        if fid in fids
+    }
+    layout = policy.update_layout(
+        db, files, cluster.available_device_names, current
+    )
+    if not layout:
+        return []
+    moves = cluster.apply_layout(layout, runner.clock.now)
+    if moves:
+        db.insert_movements(moves)
+    return moves
+
+
 def run_policy_experiment(
     policy: PlacementPolicy,
     *,
@@ -111,26 +166,9 @@ def run_policy_experiment(
     if files is None:
         files = belle2_file_population(seed=seed)
     workload = Belle2Workload(files, seed=workload_seed)
-    db = ReplayDB()
-    runner = WorkloadRunner(cluster, workload, db, batched=batched)
-
-    # Warm-up phase: telemetry lands in the DB but is not measured.  The
-    # layout is reshuffled every few runs so the warm-up telemetry covers
-    # (file, device) combinations -- the paper's warm-up data for Geomancy
-    # static likewise comes "from the dynamic random experiment".  Every
-    # policy gets the identical warm-up for a fair comparison.
-    shuffler = RandomDynamicPolicy(seed=seed)
-    runner.ensure_files_placed(
-        shuffler.initial_layout(files, cluster.device_names)
-    )
-    warm_runs = 0
-    while db.access_count() < scale.warmup_accesses:
-        runner.run_once()
-        warm_runs += 1
-        if warm_runs % scale.update_every == 0:
-            shuffled = shuffler.update_layout(db, files, cluster.device_names)
-            if shuffled:
-                cluster.apply_layout(shuffled, runner.clock.now)
+    runner = WorkloadRunner(cluster, workload, batched=batched)
+    # Every policy gets the identical warm-up for a fair comparison.
+    random_warm_up(runner, files, scale=scale, seed=seed)
 
     # Hand the cluster over to the policy under test.
     layout = policy.initial_layout(files, cluster.device_names)
@@ -159,21 +197,9 @@ def run_policy_experiment(
             )
         run_number += group
         if policy.dynamic and run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            new_layout = policy.update_layout(
-                db, files, cluster.available_device_names, current
-            )
-            if new_layout:
-                moves = cluster.apply_layout(new_layout, runner.clock.now)
-                _record_moves(db, moves)
-                if moves:
-                    result.movements.append(
-                        (result.access_count, len(moves))
-                    )
+            moves = consult_policy(policy, runner, files)
+            if moves:
+                result.movements.append((result.access_count, len(moves)))
     result.usage_percent = cluster.usage_percent()
     for name in cluster.device_names:
         stats = cluster.device(name).stats
@@ -183,8 +209,3 @@ def run_policy_experiment(
                 stats.std_throughput_gbps(),
             )
     return result
-
-
-def _record_moves(db: ReplayDB, moves: list[MovementRecord]) -> None:
-    if moves:
-        db.insert_movements(moves)

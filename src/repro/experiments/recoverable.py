@@ -28,7 +28,7 @@ just after the commit.  All raise :class:`~repro.errors.SimulatedCrash`.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,13 @@ from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError, SimulatedCrash
 from repro.experiments.harness import make_experiment_config
+from repro.experiments.loop import (
+    MovementHistory,
+    build_system,
+    install_faults,
+    serve_run,
+    warm_up,
+)
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.faults.injector import FaultInjector
@@ -45,27 +52,21 @@ from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.policies.lru import LRUPolicy
 from repro.recovery.checkpoint import CheckpointManager
-from repro.recovery.events import EventLog
 from repro.recovery.guardrail import Guardrail
 from repro.recovery.journal import LayoutJournal
 from repro.recovery.snapshot import capture_system, restore_system
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
 #: file name of the write-ahead layout journal inside the checkpoint dir
 JOURNAL_NAME = "layout.journal"
-#: the workload access stream seed every control-loop harness shares
-WORKLOAD_SEED = 1
 
 KILL_POINTS = ("pre-commit", "mid-checkpoint", "post-commit")
 
 
 @dataclass
-class RecoverableRunResult:
+class RecoverableRunResult(MovementHistory):
     """Outcome of one (possibly resumed) recoverable control loop."""
 
     seed: int
@@ -88,13 +89,6 @@ class RecoverableRunResult:
     invariant_violations: list[str] = field(default_factory=list)
     #: torn/corrupt-checkpoint fallbacks and other recovery notes
     warnings: list[str] = field(default_factory=list)
-
-    def movement_fingerprint(self) -> tuple:
-        """Hashable history for bit-for-bit determinism comparisons."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
 
     def to_text(self) -> str:
         rows = [
@@ -128,7 +122,6 @@ class RecoverableRunResult:
 class _Session:
     """Everything the measured loop needs, fresh-built or restored."""
 
-    config: GeomancyConfig
     scale: ExperimentScale
     seed: int
     geo: Geomancy
@@ -162,11 +155,8 @@ def _compose_state(s: _Session) -> dict:
     }
 
 
-def _build_guardrail(
-    config: GeomancyConfig,
-    event_log: EventLog,
-    weight_rollback=None,
-) -> Guardrail | None:
+def _build_guardrail(geo: Geomancy) -> Guardrail | None:
+    config = geo.config
     if not config.guardrail_enabled:
         return None
     return Guardrail(
@@ -175,8 +165,8 @@ def _build_guardrail(
         explode_factor=config.guardrail_explode_factor,
         cooldown_runs=config.guardrail_cooldown_runs,
         fallback=config.fallback_policy,
-        event_log=event_log,
-        weight_rollback=weight_rollback,
+        event_log=geo.event_log,
+        weight_rollback=geo.engine.rollback_weights,
     )
 
 
@@ -185,21 +175,13 @@ def _build_injector(
     meta: dict,
     seed: int,
 ) -> FaultInjector | None:
-    specs = tuple(meta["schedule_specs"])
-    if not specs:
-        return None
-    schedule = FaultSchedule.from_specs(specs)
-    # Times are relative to the start of the measured phase.
-    shifted = FaultSchedule(
-        replace(event, at=event.at + meta["phase_start"])
-        for event in schedule
-    )
-    return FaultInjector(
+    return install_faults(
         cluster,
-        shifted,
+        FaultSchedule.from_specs(meta["schedule_specs"]),
+        phase_start=meta["phase_start"],
         migration_failure_rate=meta["migration_failure_rate"],
         seed=seed,
-    ).install()
+    )
 
 
 def run_recoverable(
@@ -246,42 +228,26 @@ def run_recoverable(
         **config_overrides,
     )
     checkpoint_dir = Path(checkpoint_dir)
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    journal = LayoutJournal(checkpoint_dir / JOURNAL_NAME)
-    event_log = EventLog()
-    geo = Geomancy(
-        cluster, files, config, journal=journal, event_log=event_log
+    geo, runner = build_system(
+        seed, config, journal=LayoutJournal(checkpoint_dir / JOURNAL_NAME)
     )
     geo.place_initial()
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=WORKLOAD_SEED),
-        ReplayDB(),
-        tolerate_offline=True,
-    )
-    # Warm-up: telemetry lands through the agents but is not measured.
     # Checkpoints only cover the measured phase; a kill during warm-up
     # means starting over (warm-up is cheap and fully deterministic).
-    while geo.db.access_count() < scale.warmup_accesses:
-        geo.observe_run(list(runner.run_stream()))
+    warm_up(geo, runner, scale.warmup_accesses)
 
     meta = {
         "seed": seed,
-        "workload_seed": WORKLOAD_SEED,
         "scale": asdict(scale),
         "config": asdict(config),
         "schedule_specs": list(specs),
         "migration_failure_rate": float(migration_failure_rate),
         "phase_start": runner.clock.now,
     }
-    injector = _build_injector(cluster, meta, seed)
-    rail = _build_guardrail(
-        config, event_log, weight_rollback=geo.engine.rollback_weights
-    )
+    injector = _build_injector(geo.cluster, meta, seed)
+    rail = _build_guardrail(geo)
     mgr = CheckpointManager(checkpoint_dir, keep=config.checkpoint_keep)
     session = _Session(
-        config=config,
         scale=scale,
         seed=seed,
         geo=geo,
@@ -305,7 +271,7 @@ def run_recoverable(
     if config.checkpoint_every > 0:
         # Generation 0: the post-warm-up baseline every resume can fall
         # back to even if every later generation is torn.
-        event_log.emit(
+        geo.event_log.emit(
             "checkpoint-saved", t=runner.clock.now, step=0, generation="gen-0"
         )
         session.loop["checkpoints_written"] += 1
@@ -349,30 +315,20 @@ def resume_recoverable(
     mgr.keep = config.checkpoint_keep
     seed = int(meta["seed"])
 
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
     db = (
         ReplayDB.from_snapshot(loaded.replay_path)
         if loaded.replay_path is not None
         else ReplayDB()
     )
     journal = LayoutJournal(checkpoint_dir / JOURNAL_NAME)
-    event_log = EventLog()
+    geo, runner = build_system(seed, config, db=db, journal=journal)
+    event_log = geo.event_log
     event_log.load_state_dict(state["events"])
-    geo = Geomancy(
-        cluster, files, config, db=db, journal=journal, event_log=event_log
-    )
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=int(meta["workload_seed"])),
-        ReplayDB(),
-        tolerate_offline=True,
-    )
     restore_system(geo, runner, state["system"])
     if loaded.model_path is not None and geo.engine.model.built:
         load_weights(geo.engine.model, loaded.model_path)
     rolled = journal.resolve_pending(
-        cluster, files, event_log, t=runner.clock.now, step=loaded.step
+        geo.cluster, geo.files, event_log, t=runner.clock.now, step=loaded.step
     )
     for warning in loaded.warnings:
         event_log.emit(
@@ -386,16 +342,13 @@ def resume_recoverable(
         generation=loaded.path.name,
         rolled_back_txns=rolled,
     )
-    injector = _build_injector(cluster, meta, seed)
+    injector = _build_injector(geo.cluster, meta, seed)
     if injector is not None:
         injector.load_state_dict(state["injector"])
-    rail = _build_guardrail(
-        config, event_log, weight_rollback=geo.engine.rollback_weights
-    )
+    rail = _build_guardrail(geo)
     if rail is not None:
         rail.load_state_dict(state["guardrail"])
     session = _Session(
-        config=config,
         scale=scale,
         seed=seed,
         geo=geo,
@@ -431,7 +384,7 @@ def _rollback_to_known_good(s: _Session, *, t: float, run_number: int) -> None:
         for fid, device in target.items()
         if current.get(fid) != device
     }
-    movements = s.geo._dispatch(diff, t) if diff else []
+    movements = s.geo._dispatch(diff, t, kind="rollback") if diff else []
     s.loop["pending_predicted"] = None
     s.geo.event_log.emit(
         "guardrail-rollback",
@@ -446,23 +399,11 @@ def _rollback_to_known_good(s: _Session, *, t: float, run_number: int) -> None:
 def _fallback_cycle(s: _Session, *, t: float, run_number: int) -> None:
     """Safety duties (and the fallback policy) while the learner is benched."""
     geo = s.geo
-    if not geo.scheduler.should_move(run_number):
+    outcome, available = geo.begin_cycle(run_number, t)
+    if available is None:
         return
-    available = geo.health.healthy(geo.cluster.available_device_names, t)
-    rescue = geo._rescue_layout(available)
-    if rescue:
-        moved = geo._dispatch(rescue, t)
-        rescued = sum(1 for m in moved if m.succeeded)
-        s.loop["rescued"] += rescued
-        geo.event_log.emit(
-            "stranded-file-rescued",
-            t=t,
-            step=run_number,
-            rescued=rescued,
-            attempted=len(rescue),
-            targets={str(fid): dst for fid, dst in sorted(rescue.items())},
-        )
-    if s.config.fallback_policy == "lru" and available:
+    s.loop["rescued"] += outcome.rescued_files
+    if geo.config.fallback_policy == "lru" and available:
         fids = {spec.fid for spec in geo.files}
         current = {
             fid: device
@@ -479,9 +420,10 @@ def _fallback_cycle(s: _Session, *, t: float, run_number: int) -> None:
                 if current.get(fid) != device
             }
             if diff:
-                geo._dispatch(diff, t)
-    if geo.control.has_due_retries(t):
-        geo._dispatch({}, t)
+                outcome.movements.extend(
+                    geo._dispatch(diff, t, kind="fallback")
+                )
+    geo.drive_retries(outcome, t)
 
 
 def _measured_loop(
@@ -492,19 +434,13 @@ def _measured_loop(
 ) -> RecoverableRunResult:
     geo, runner, loop = s.geo, s.runner, s.loop
     cluster = geo.cluster
-    checkpoint_every = s.config.checkpoint_every
+    checkpoint_every = geo.config.checkpoint_every
     for run_number in range(loop["next_run"], s.scale.runs + 1):
-        run_gbps: list[float] = []
-        for record in runner.run_stream():
-            if s.injector is not None:
-                s.injector.advance(runner.clock.now)
-            gbps = float(record.throughput_gbps)
-            run_gbps.append(gbps)
-            loop["throughput"].append(gbps)
-            geo.observe(record)
-        if s.injector is not None:
-            s.injector.advance(runner.clock.now)
-        geo.flush_telemetry(at=runner.clock.now)
+        run_gbps = [
+            float(r.throughput_gbps)
+            for r in serve_run(geo, runner, s.injector)
+        ]
+        loop["throughput"].extend(run_gbps)
         t = runner.clock.now
         realized = float(np.mean(run_gbps)) if run_gbps else None
 

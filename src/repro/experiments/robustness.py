@@ -16,7 +16,7 @@ movement history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +26,18 @@ from repro.experiments.fig5_comparison import GEOMANCY, run_fig5a
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
+from repro.experiments.loop import (
+    MovementHistory,
+    build_system,
+    install_faults,
+    serve_run,
+    warm_up,
+)
 from repro.faults.chaos_transport import ChaosTransport
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
-from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
-from repro.workloads.runner import WorkloadRunner
 
 
 @dataclass
@@ -168,7 +170,7 @@ class _PhaseStats:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(MovementHistory):
     """One chaos run compared against its fault-free twin."""
 
     seed: int
@@ -206,13 +208,6 @@ class ChaosResult:
     def recovery_time_s(self) -> float | None:
         """Time from the last outage wave until no file was stranded."""
         return self.recovery_times[-1] if self.recovery_times else None
-
-    def movement_fingerprint(self) -> tuple:
-        """Hashable history for determinism comparisons across runs."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
 
     def to_text(self) -> str:
         rows = [
@@ -253,73 +248,47 @@ def _run_control_loop(
     *,
     scale: ExperimentScale,
     seed: int,
-    schedule: FaultSchedule | None,
-    migration_failure_rate: float,
-    drop_rate: float,
-    delay_rate: float,
-    reorder_rate: float,
-    corrupt_rate: float,
-    chaos: bool,
+    batched: bool,
+    telemetry: ChaosTransport | None = None,
+    schedule: FaultSchedule | None = None,
+    migration_failure_rate: float = 0.0,
     baseline_duration: float | None = None,
-    batched: bool = True,
 ) -> tuple[_PhaseStats, Geomancy, FaultInjector | None]:
     """One full warm-up + measured Geomancy loop, optionally under faults.
 
     Telemetry flows through the monitoring agents and the (possibly lossy)
-    transport rather than straight into the DB, so transport faults have
-    real consequences for what the engine trains on.  ``batched`` selects
-    the vectorized access pipeline; fault timing, telemetry batching, and
-    every RNG draw are bit-for-bit identical either way, so chaos results
-    do not depend on the flag.
+    ``telemetry`` transport rather than straight into the DB, so transport
+    faults have real consequences for what the engine trains on.
+    ``batched=False``
+    serves runs through the runner's scalar reference loop; fault timing,
+    telemetry batching, and every RNG draw are bit-for-bit identical
+    either way, so chaos results do not depend on the flag.
     """
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    config = make_experiment_config(
-        scale, seed=seed, batched_simulation=batched
+    geo, runner = build_system(
+        seed,
+        make_experiment_config(scale, seed=seed),
+        batched=batched,
+        telemetry=telemetry,
     )
-    telemetry = (
-        ChaosTransport(
-            drop_rate=drop_rate, delay_rate=delay_rate,
-            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
-            seed=seed,
-        )
-        if chaos
-        else None
-    )
-    geo = Geomancy(cluster, files, config, telemetry=telemetry)
+    cluster, files = geo.cluster, geo.files
     geo.place_initial()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), ReplayDB(),
-        tolerate_offline=True, batched=config.batched_simulation,
-    )
-    # Warm-up: telemetry lands (through the agents) but is not measured.
-    while geo.db.access_count() < scale.warmup_accesses:
-        if config.batched_simulation:
-            geo.observe_run(runner.run_once().records)
-        else:
-            geo.observe_run(list(runner.run_stream()))
+    warm_up(geo, runner, scale.warmup_accesses)
 
-    injector = None
     phase_start = runner.clock.now
-    if chaos:
-        resolved = schedule if schedule is not None else FaultSchedule()
-        if resolved.has_fractional_times:
-            # Fractional times ("@40%") refer to the measured phase; the
-            # fault-free twin already measured how long that phase lasts.
-            if baseline_duration is None:
-                raise ExperimentError(
-                    "schedule has fractional times but no baseline "
-                    "duration was provided to resolve them"
-                )
-            resolved = resolved.resolved(baseline_duration)
-        # Schedule times are relative to the start of the measured phase.
-        shifted = FaultSchedule(
-            replace(event, at=event.at + phase_start) for event in resolved
-        )
-        injector = FaultInjector(
-            cluster, shifted,
-            migration_failure_rate=migration_failure_rate, seed=seed,
-        ).install()
+    resolved = schedule if schedule is not None else FaultSchedule()
+    if resolved.has_fractional_times:
+        # Fractional times ("@40%") refer to the measured phase; the
+        # fault-free twin already measured how long that phase lasts.
+        if baseline_duration is None:
+            raise ExperimentError(
+                "schedule has fractional times but no baseline "
+                "duration was provided to resolve them"
+            )
+        resolved = resolved.resolved(baseline_duration)
+    injector = install_faults(
+        cluster, resolved, phase_start=phase_start,
+        migration_failure_rate=migration_failure_rate, seed=seed,
+    )
 
     throughput: list[float] = []
     measured_fail_start = runner.failed_accesses
@@ -328,27 +297,8 @@ def _run_control_loop(
     stranded_since: float | None = None
     violations: list[str] = []
     for run_number in range(1, scale.runs + 1):
-        if config.batched_simulation:
-            # Same event order as the scalar loop below: the injector
-            # advances after every served access (access_batch invokes the
-            # hook at the same clock values run_stream would show), and
-            # telemetry batching sees the identical record sequence.
-            run = runner.run_once(
-                advance_hook=(
-                    injector.advance if injector is not None else None
-                )
-            )
-            throughput.extend(r.throughput_gbps for r in run.records)
-            geo.observe_records(run.records)
-        else:
-            for record in runner.run_stream():
-                if injector is not None:
-                    injector.advance(runner.clock.now)
-                throughput.append(record.throughput_gbps)
-                geo.observe(record)
-        if injector is not None:
-            injector.advance(runner.clock.now)
-        geo.flush_telemetry(at=runner.clock.now)
+        records = serve_run(geo, runner, injector)
+        throughput.extend(r.throughput_gbps for r in records)
         outcome = geo.after_run(run_number, runner.clock.now)
         rescued += outcome.rescued_files
         stranded = len(cluster.files_stranded())
@@ -399,16 +349,20 @@ def run_chaos(
     )
     schedule = FaultSchedule.from_specs(specs) if specs else None
     baseline, _, _ = _run_control_loop(
-        scale=scale, seed=seed, schedule=None,
-        migration_failure_rate=0.0, drop_rate=0.0, delay_rate=0.0,
-        reorder_rate=0.0, corrupt_rate=0.0, chaos=False, batched=batched,
+        scale=scale, seed=seed, batched=batched
     )
     stats, geo, injector = _run_control_loop(
-        scale=scale, seed=seed, schedule=schedule,
+        scale=scale,
+        seed=seed,
+        batched=batched,
+        telemetry=ChaosTransport(
+            drop_rate=drop_rate, delay_rate=delay_rate,
+            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
+            seed=seed,
+        ),
+        schedule=schedule,
         migration_failure_rate=migration_failure_rate,
-        drop_rate=drop_rate, delay_rate=delay_rate,
-        reorder_rate=reorder_rate, corrupt_rate=corrupt_rate, chaos=True,
-        baseline_duration=baseline.duration_s, batched=batched,
+        baseline_duration=baseline.duration_s,
     )
     telemetry = geo.telemetry
     return ChaosResult(

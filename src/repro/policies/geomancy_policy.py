@@ -103,33 +103,19 @@ class GeomancyDynamicPolicy(PlacementPolicy):
         current: dict[int, str] | None = None,
     ) -> dict[int, str] | None:
         self._require(files, devices)
-        if db.access_count() < 50:
-            return None
-        report = (
-            self.engine.train_incremental(db)
-            if self.config.online_learning
-            else self.engine.train(db)
-        )
-        skip = (
-            (self.config.require_skill and not report.skillful)
-            or report.diverged
-            or report.test_mare > self.config.max_actionable_mare
-        )
-        if skip:
-            return None
-        if (
-            self.config.require_ranking_sanity
-            and self.engine.ranking_correlation(db, self.device_by_fsid) < 0.0
-        ):
-            return None
-        proposal, gains = self.engine.propose_layout(
+        decision = self.engine.decide(
             db, [f.fid for f in files], self.device_by_fsid
         )
+        proposal = decision.proposal
+        if proposal is None:
+            return None
         if current is None:
             return proposal or None
         checked = self.checker.check(proposal, set(devices), dict(current))
         changes = layout_diff(dict(current), checked)
-        changes = cap_moves(changes, self.config.max_files_per_move, gains)
+        changes = cap_moves(
+            changes, self.config.max_files_per_move, decision.gains
+        )
         if self.gap_scheduler is not None:
             # Section X extension: only move files whose observed access
             # gaps accommodate the (estimated) transfer time.

@@ -15,6 +15,8 @@ from repro.experiments.recoverable import (
     resume_recoverable,
     run_recoverable,
 )
+from repro.observability import Observability, use
+from repro.observability.provenance import ProvenanceLedger
 from repro.recovery.checkpoint import STATE_NAME
 from repro.recovery.journal import LayoutJournal
 
@@ -186,6 +188,42 @@ class TestGuardrailAcceptance:
         assert result.fallback_runs >= 1
         assert result.guardrail_mode == "learning"  # re-admitted
 
+    def test_fallback_rescue_is_provenanced_and_counted(self, tmp_path):
+        # The learner is benched at its first training run (nan loss) and
+        # stays benched past run 10; file0 dies in between, so the
+        # fallback cycle at run 10 rescues its files.  That dispatch is a
+        # rescue, not a model decision, and counts as rescued files.
+        obs = Observability(enabled=True)
+        with use(obs):
+            result = run_recoverable(
+                checkpoint_dir=tmp_path / "ckpt",
+                checkpoint_every=0,
+                seed=0,
+                guardrail=True,
+                learning_rate=1e6,
+                guardrail_cooldown_runs=12,
+                schedule_specs=("kill:file0@80",),
+                causal_tracing_enabled=True,
+                provenance_enabled=True,
+                provenance_path=str(tmp_path / "provenance.jsonl"),
+            )
+        rescues = [
+            e for e in result.events if e["kind"] == "stranded-file-rescued"
+        ]
+        assert [e["step"] for e in rescues] == [10]
+        assert result.guardrail_trips[0]["run_index"] == CADENCE
+        ledger = ProvenanceLedger.load(tmp_path / "provenance.jsonl")
+        at_rescue = [d for d in ledger.decisions if d.run_index == 10]
+        assert [d.kind for d in at_rescue] == ["rescue"]
+        assert set(at_rescue[0].chosen) == {
+            int(fid) for fid in rescues[0]["detail"]["targets"]
+        }
+        assert at_rescue[0].candidates == {}
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["repro_engine_files_rescued_total"] == (
+            result.rescued_files
+        ) > 0
+
     def test_guardrail_not_below_static_baseline_under_chaos(
         self, tmp_path_factory
     ):
@@ -240,6 +278,20 @@ class TestGuardrailAcceptance:
         assert resumed.fallback_runs == uninterrupted.fallback_runs
         assert resumed.guardrail_mode == uninterrupted.guardrail_mode
         assert resumed.mean_gbps == uninterrupted.mean_gbps
+
+
+class TestMigrationFailures:
+    def test_failure_rate_applies_without_a_schedule(self, tmp_path):
+        # A migration failure rate alone installs the fault injector; no
+        # outage schedule is needed for moves to abort mid-transfer.
+        result = run_recoverable(
+            checkpoint_dir=tmp_path,
+            checkpoint_every=0,
+            seed=0,
+            migration_failure_rate=1.0,
+        )
+        assert result.movements
+        assert not any(m.succeeded for m in result.movements)
 
 
 class TestStateIntrospection:
