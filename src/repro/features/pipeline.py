@@ -385,8 +385,11 @@ class FeaturePipeline:
 
         Shared tail of the record-based and columnar batch builders: each
         of the ``len(raw)`` base rows is replicated once per candidate
-        location with only the ``fsid`` column varying, then the whole
-        tensor is normalized in one shot.
+        location with only the ``fsid`` column varying.  Both normalizers
+        work elementwise per column, so the base rows and the candidate
+        fsids are normalized once each and the normalized values are
+        repeated: the same bits as normalizing the full tensor, with
+        ``len(fsids)`` times less normalization work.
         """
         self._require_fitted()
         if not fsids:
@@ -396,13 +399,14 @@ class FeaturePipeline:
                 "per-location probing varies the 'fsid' column (paper "
                 "section V-C); include it in the feature set"
             )
-        probe = np.repeat(raw, len(fsids), axis=0)
         fsid_col = self.features.index("fsid")
-        probe[:, fsid_col] = np.tile(
-            np.asarray(fsids, dtype=np.float64), len(raw)
-        )
+        candidates = np.zeros((len(fsids), raw.shape[1]))
+        candidates[:, fsid_col] = fsids
+        fsid_norm = self._x_norm.transform(candidates)[:, fsid_col]
+        probe = np.repeat(self._x_norm.transform(raw), len(fsids), axis=0)
+        probe[:, fsid_col] = np.tile(fsid_norm, len(raw))
         self._m_probe_rows.inc(len(probe))
-        return self._x_norm.transform(probe)
+        return probe
 
     def _require_fitted(self) -> None:
         if not self.fitted:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
-from repro.nn.activations import Activation, get_activation
+from repro.nn.activations import Activation, get_activation, linear, relu
 from repro.nn.initializers import glorot_uniform, zeros
 
 
@@ -90,13 +90,37 @@ class Dense(Layer):
         self.zero_grads()
         self.built = True
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self,
+        x: np.ndarray,
+        training: bool = False,
+        *,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``activation(x @ W + b)``.
+
+        ``out`` (inference only) is a ``(batch, units)`` float64 buffer the
+        result is written into, with the bias and activation applied in
+        place, so a blocked forward pass allocates nothing per block.  The
+        arithmetic is the same as the allocating path, so both give the
+        same bits.
+        """
         self._require_built()
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(
                 f"Dense expected (batch, {self.input_dim}), got {x.shape}"
             )
+        if out is not None:
+            if training:
+                raise ModelError("out= is inference-only; a training pass caches z")
+            np.matmul(x, self.params["W"], out=out)
+            out += self.params["b"]
+            if self.activation is relu:
+                np.maximum(out, 0.0, out=out)
+            elif self.activation is not linear:
+                out[...] = self.activation(out)
+            return out
         z = x @ self.params["W"] + self.params["b"]
         y = self.activation(z)
         if training:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, DivergedError, ModelError, ShapeError
-from repro.nn.layers import Layer
+from repro.nn.layers import Dense, Layer
 from repro.nn.losses import Loss, get_loss
 from repro.nn.metrics import is_diverged
 from repro.nn.optimizers import Optimizer, get_optimizer
@@ -71,6 +71,25 @@ def train_val_test_split(
         x[n_train + n_val :],
         y[n_train + n_val :],
     )
+
+
+#: Rows per block of an inference forward pass.  A multiple of 4, because
+#: OpenBLAS's width-1 output kernel groups rows by 4: blocks then start on
+#: the same row groups as one full-height matmul.
+PREDICT_BLOCK_ROWS = 2048
+
+
+def _block_bounds(n: int, block: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` row ranges covering ``n`` rows in ``block``-row blocks.
+
+    A trailing one-row block is folded into the block before it: a 1-row
+    matmul takes a different BLAS kernel and can change the last bit.
+    An empty input is one empty block, so shapes are still checked.
+    """
+    bounds = [(start, min(start + block, n)) for start in range(0, n, block)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds or [(0, 0)]
 
 
 class Sequential:
@@ -138,18 +157,39 @@ class Sequential:
 
     # -- inference ---------------------------------------------------------
     def predict(self, x: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
-        """Forward pass; returns ``(n, output_dim)`` predictions."""
+        """Forward pass; returns ``(n, output_dim)`` predictions.
+
+        The rows are pushed through in blocks of ``batch_size`` rows
+        (default :data:`PREDICT_BLOCK_ROWS`), so the working set is one
+        block's intermediates rather than a full-height array per layer.
+        Each :class:`Dense` layer writes into one ``(block, units)``
+        scratch buffer allocated per call and reused for every block;
+        recurrent layers run their own ``forward`` per block.
+        """
+        if batch_size is not None and batch_size <= 0:
+            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
         self._m_forward.inc(len(x))
-        if batch_size is None or batch_size >= len(x):
-            return self._forward(x, training=False)
-        chunks = [
-            self._forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
+        bounds = _block_bounds(len(x), batch_size or PREDICT_BLOCK_ROWS)
+        height = max(stop - start for start, stop in bounds)
+        scratch = [
+            np.empty((height, layer.units)) if isinstance(layer, Dense) else None
+            for layer in self.layers
         ]
-        return np.concatenate(chunks, axis=0)
+        result = np.empty((len(x), self.output_dim))
+        for start, stop in bounds:
+            out = x[start:stop]
+            for layer, buffer in zip(self.layers, scratch):
+                if buffer is None:
+                    out = layer.forward(out, training=False)
+                else:
+                    out = layer.forward(
+                        out, training=False, out=buffer[: stop - start]
+                    )
+            result[start:stop] = out
+        return result
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x
