@@ -262,19 +262,45 @@ class DRLEngine:
         plain SGD, MAE-sign adjustment calibrated on the validation split,
         accuracy reported on the test split.
         """
-        if len(records) < 10:
+        return self._train_window(len(records), self._records_xy, records)
+
+    def _records_xy(
+        self, records: list[AccessRecord]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Data step of the record path: records -> normalized ``x, y``."""
+        self.pipeline.ensure_fitted(records)
+        return (
+            self.pipeline.transform_features(records),
+            self.pipeline.transform_target(records),
+        )
+
+    def _columns_xy(
+        self, columns: dict[str, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Data step of the columnar path: the same ``x, y`` from columns."""
+        self.pipeline.ensure_fitted_from_columns(columns)
+        return (
+            self.pipeline.transform_features_from_columns(columns),
+            self.pipeline.transform_target_from_columns(columns),
+        )
+
+    def _train_window(self, samples: int, data_step, window) -> TrainingReport:
+        """Fit, calibrate and score on one training window.
+
+        ``data_step(window)`` turns the window (records or columns) into
+        normalized ``x, y``; everything after it is shared by both paths.
+        """
+        if samples < 10:
             raise ModelError(
-                f"need at least 10 records to train, got {len(records)}"
+                f"need at least 10 records to train, got {samples}"
             )
-        with self.obs.span("train_step", samples=len(records)):
+        with self.obs.span("train_step", samples=samples):
             # Normalization bounds are learned once and then frozen: a
             # warm-started model must see consistently scaled inputs/targets
             # across cycles (later values beyond the bounds extrapolate
             # linearly, which the normalizer supports).
             with self.obs.span("feature_pipeline"):
-                self.pipeline.ensure_fitted(records)
-                x = self.pipeline.transform_features(records)
-                y = self.pipeline.transform_target(records)
+                x, y = data_step(window)
                 if self.capture_provenance:
                     self.last_feature_digest = _digest(x)
                 if self._recurrent:
@@ -319,7 +345,7 @@ class DRLEngine:
                 np.full_like(test_true, train_mean), test_true
             )
             report = TrainingReport(
-                samples=len(records),
+                samples=samples,
                 epochs=history.epochs_run,
                 train_seconds=elapsed,
                 test_mare=mare,
@@ -331,7 +357,7 @@ class DRLEngine:
                 adjustment_mae=self.adjuster.mae,
                 adjustment_sign=self.adjuster.sign,
             )
-        return self._finish_training(report, len(records), elapsed)
+        return self._finish_training(report, samples, elapsed)
 
     def _finish_training(
         self, report: TrainingReport, rows: int, elapsed: float
@@ -347,14 +373,26 @@ class DRLEngine:
         return report
 
     def train(self, db: ReplayDB) -> TrainingReport:
-        """Retrain on the most recent ``training_rows`` ReplayDB accesses."""
-        records = db.recent_accesses(self.config.training_rows)
-        if self.capture_provenance and records:
-            # recent_accesses flushes the write-behind buffer, so the max
-            # rowid now names the newest record in the window.
+        """Retrain on the most recent ``training_rows`` ReplayDB accesses.
+
+        When every feature derives from the numeric access columns the
+        window is read as columns and never becomes AccessRecords; an
+        ``extra``-feature pipeline reads records.  Both give the same
+        ``x, y`` and hence the same model.
+        """
+        limit = self.config.training_rows
+        if self.pipeline.columnar:
+            window = db.recent_access_columns(limit)
+            samples, data_step = len(window["fid"]), self._columns_xy
+        else:
+            window = db.recent_accesses(limit)
+            samples, data_step = len(window), self._records_xy
+        if self.capture_provenance and samples:
+            # Both reads flush the write-behind buffer, so the max rowid
+            # now names the newest row in the window.
             hi = db.max_rowid()
-            self.last_window = (hi - len(records) + 1, hi)
-        return self.train_on_records(records)
+            self.last_window = (hi - samples + 1, hi)
+        return self._train_window(samples, data_step, window)
 
     # -- online continual learning ------------------------------------------
     def _update_target_mean(self, targets: np.ndarray) -> None:
@@ -770,25 +808,37 @@ class DRLEngine:
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
-        observed: dict[int, float] = {}
-        for fsid, device in device_by_fsid.items():
-            try:
-                tp = db.average_throughput(device=device)
-            except Exception:
-                continue
-            # For latency targets lower observed *throughput* still means
-            # a worse device, so the observed ordering is the same.
-            observed[fsid] = tp
+        # One grouped AVG query; devices without telemetry are absent.  A
+        # failing ReplayDB raises here instead of leaving every device
+        # out (which would read as "fewer than two devices": pass).
+        averages = dict(db.device_throughput_ranking())
+        # For latency targets lower observed *throughput* still means a
+        # worse device, so the observed ordering is the same.
+        observed = {
+            fsid: averages[device]
+            for fsid, device in device_by_fsid.items()
+            if device in averages
+        }
         if len(observed) < 2:
             return 1.0
         fsids = sorted(observed)
-        bases = db.recent_accesses(probe_bases)
-        if bases:
+        if self.pipeline.columnar:
+            raw = self.pipeline.feature_matrix_from_columns(
+                db.recent_access_columns(probe_bases)
+            )
+        else:
+            bases = db.recent_accesses(probe_bases)
+            raw = (
+                self.pipeline.feature_matrix(bases) if bases
+                else np.empty((0, self.pipeline.z))
+            )
+        if len(raw):
             # One batched forward pass over every (base, device) probe
             # instead of a model call per base: correlation checks run
             # every training cycle, so they ride the same fast path as
             # propose_layout.
-            matrix = self.predict_throughput_matrix(bases, fsids)
+            probe = self.pipeline.build_location_probe_from_matrix(raw, fsids)
+            matrix = self._predict_probe(probe, len(raw), len(fsids))
             predicted = [float(v) for v in _ordered_column_sum(matrix)]
         else:
             predicted = [0.0 for _ in fsids]

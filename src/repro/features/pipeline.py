@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import FeatureError
 from repro.features.normalize import MinMaxNormalizer, RunningNormalizer
 from repro.features.smoothing import moving_average
+from repro.features.throughput import access_throughput
 from repro.observability import get_observability
 
 if TYPE_CHECKING:  # records imports this package; avoid the import cycle
@@ -75,6 +76,13 @@ _COLUMN_BUILDERS: dict[str, Callable[[dict[str, np.ndarray]], np.ndarray]] = {
     "fsid": lambda c: c["fsid"],
     "total_bytes": lambda c: c["rb"] + c["wb"],
 }
+
+
+#: access fields a target is computed from: the throughput formula's
+#: arguments in order, then the device id smoothing groups by
+_TARGET_FIELDS: tuple[str, ...] = (
+    "rb", "wb", "ots", "otms", "cts", "ctms", "fsid",
+)
 
 
 def _extra_accessor(name: str) -> Callable[["AccessRecord"], float]:
@@ -248,23 +256,41 @@ class FeaturePipeline:
         interleaved multi-device stream would blend fast and slow mounts
         into one target level and erase the location signal the engine
         ranks candidate placements by.
+
+        The records' fields are gathered into columns and the target is
+        computed by :meth:`target_vector_from_columns`: one vectorized
+        :func:`access_throughput` call, whose elementwise result is the
+        bits of each record's scalar ``throughput`` property.
         """
         if not records:
             raise FeatureError("no records supplied")
+        data = np.array(
+            [(r.rb, r.wb, r.ots, r.otms, r.cts, r.ctms, r.fsid)
+             for r in records],
+            dtype=np.float64,
+        )
+        return self.target_vector_from_columns(
+            {name: data[:, i] for i, name in enumerate(_TARGET_FIELDS)}
+        )
+
+    def target_vector_from_columns(
+        self, columns: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`target_vector` straight from columnar telemetry arrays."""
+        if not columns or not len(columns["fsid"]):
+            raise FeatureError("no columns supplied")
         if self.target == "throughput":
-            values = np.array(
-                [r.throughput for r in records], dtype=np.float64
+            values = access_throughput(
+                *(columns[name] for name in _TARGET_FIELDS[:6])
             )
         else:
             # Latency target (paper V-C: "there exist workloads that are
             # more latency sensitive, we will explore modeling latency of
             # the system in the future"): the per-access duration.
-            values = np.array(
-                [r.duration for r in records], dtype=np.float64
-            )
+            values = _COLUMN_BUILDERS["duration"](columns)
         if self.smoothing_window == 1:
             return values
-        fsids = np.array([r.fsid for r in records])
+        fsids = columns["fsid"]
         out = np.empty_like(values)
         for fsid in np.unique(fsids):
             idx = np.flatnonzero(fsids == fsid)
@@ -273,10 +299,20 @@ class FeaturePipeline:
 
     # -- normalization -----------------------------------------------------
     def fit(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
-        self._x_norm.fit(self.feature_matrix(records))
-        self._y_norm.fit(self.target_vector(records))
+        return self._fit_raw(
+            self.feature_matrix(records), self.target_vector(records)
+        )
+
+    def _fit_raw(self, x: np.ndarray, y: np.ndarray) -> "FeaturePipeline":
+        self._x_norm.fit(x)
+        self._y_norm.fit(y)
         self._fitted_features = self.features
         return self
+
+    @property
+    def _stale(self) -> bool:
+        """Unfitted, or fitted for a different feature tuple."""
+        return not self.fitted or self._fitted_features != self.features
 
     def ensure_fitted(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
         """Fit normalization bounds once, then keep them frozen.
@@ -287,8 +323,19 @@ class FeaturePipeline:
         fit cost disappears.  A schema change (different feature tuple)
         forces a refit because the column bounds no longer line up.
         """
-        if not self.fitted or self._fitted_features != self.features:
+        if self._stale:
             self.fit(records)
+        return self
+
+    def ensure_fitted_from_columns(
+        self, columns: dict[str, np.ndarray]
+    ) -> "FeaturePipeline":
+        """:meth:`ensure_fitted` with the bounds fitted from columns."""
+        if self._stale:
+            self._fit_raw(
+                self.feature_matrix_from_columns(columns),
+                self.target_vector_from_columns(columns),
+            )
         return self
 
     def partial_fit(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
@@ -304,10 +351,8 @@ class FeaturePipeline:
             return self
         x = self.feature_matrix(records)
         y = self.target_vector(records)
-        if not self.fitted or self._fitted_features != self.features:
-            self._x_norm.fit(x)
-            self._y_norm.fit(y)
-            self._fitted_features = self.features
+        if self._stale:
+            self._fit_raw(x, y)
         else:
             self._x_norm.partial_fit(x)
             self._y_norm.partial_fit(y)
@@ -321,6 +366,24 @@ class FeaturePipeline:
     def transform_target(self, records: "Sequence[AccessRecord]") -> np.ndarray:
         self._require_fitted()
         return self._y_norm.transform(self.target_vector(records)).ravel()
+
+    def transform_features_from_columns(
+        self, columns: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`transform_features` over columnar telemetry arrays."""
+        self._require_fitted()
+        x = self.feature_matrix_from_columns(columns)
+        self._m_rows.inc(len(x))
+        return self._x_norm.transform(x)
+
+    def transform_target_from_columns(
+        self, columns: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`transform_target` over columnar telemetry arrays."""
+        self._require_fitted()
+        return self._y_norm.transform(
+            self.target_vector_from_columns(columns)
+        ).ravel()
 
     def inverse_transform_target(self, y: np.ndarray) -> np.ndarray:
         """Map normalized model outputs back to bytes/s."""

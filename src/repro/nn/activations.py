@@ -20,7 +20,8 @@ class Activation:
     """An activation function paired with its derivative.
 
     ``backward`` receives the *pre-activation* input ``x`` and the cached
-    forward output ``y`` and returns dY/dX elementwise.
+    forward output ``y`` and returns dY/dX elementwise, as any array the
+    upstream gradient can be multiplied by (ReLU's is a boolean mask).
     """
 
     name: str
@@ -36,7 +37,9 @@ def _relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def _relu_backward(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(x.dtype)
+    # The boolean mask itself: a float array times it equals the array
+    # times the mask's 0.0/1.0 copy, bit for bit, without the copy.
+    return x > 0.0
 
 
 def _linear_forward(x: np.ndarray) -> np.ndarray:

@@ -46,8 +46,15 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads and return the gradient w.r.t. input."""
+    def backward(
+        self, grad_out: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate parameter grads and return the gradient w.r.t. input.
+
+        With ``need_input_grad=False`` (the first layer of a network,
+        whose input is the data) the input gradient is not computed and
+        ``None`` is returned.
+        """
         raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------
@@ -121,13 +128,16 @@ class Dense(Layer):
             elif self.activation is not linear:
                 out[...] = self.activation(out)
             return out
-        z = x @ self.params["W"] + self.params["b"]
+        z = x @ self.params["W"]
+        z += self.params["b"]
         y = self.activation(z)
         if training:
             self._cache = {"x": x, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         self._require_built()
         if not self._cache:
             raise ModelError("backward() called before a training forward pass")
@@ -136,7 +146,12 @@ class Dense(Layer):
             raise ShapeError(
                 f"grad shape {grad_out.shape} does not match output {y.shape}"
             )
-        dz = grad_out * self.activation.backward(z, y)
+        # A linear layer's derivative is all ones: multiplying by it
+        # would copy grad_out bit for bit.
+        dz = (
+            grad_out if self.activation is linear
+            else grad_out * self.activation.backward(z, y)
+        )
         self.grads["W"] = x.T @ dz
         self.grads["b"] = dz.sum(axis=0)
-        return dz @ self.params["W"].T
+        return dz @ self.params["W"].T if need_input_grad else None

@@ -53,68 +53,93 @@ class Loss:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(
+        self,
+        y_pred: np.ndarray,
+        y_true: np.ndarray,
+        weight: np.ndarray | None = None,
+    ) -> tuple[float, np.ndarray]:
+        """Both at once, as a training step needs them."""
+        return (
+            self.value(y_pred, y_true, weight),
+            self.gradient(y_pred, y_true, weight),
+        )
 
-class MeanSquaredError(Loss):
+
+class _ResidualLoss(Loss):
+    """A loss of the residual ``y_pred - y_true``.
+
+    Subclasses define ``_value`` and ``_gradient`` over the residual and
+    the row weights (``None`` when unweighted);
+    :meth:`value_and_gradient` computes the residual once for both.
+    """
+
+    def _value(self, residual: np.ndarray, w: np.ndarray | None) -> float:
+        raise NotImplementedError
+
+    def _gradient(
+        self, residual: np.ndarray, w: np.ndarray | None
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+    @staticmethod
+    def _residual(
+        y_pred: np.ndarray, y_true: np.ndarray, weight: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        _check_shapes(y_pred, y_true)
+        w = None if weight is None else _row_weights(weight, y_pred)
+        return y_pred - y_true, w
+
+    def value(self, y_pred, y_true, weight=None) -> float:
+        return self._value(*self._residual(y_pred, y_true, weight))
+
+    def gradient(self, y_pred, y_true, weight=None) -> np.ndarray:
+        return self._gradient(*self._residual(y_pred, y_true, weight))
+
+    def value_and_gradient(
+        self, y_pred, y_true, weight=None
+    ) -> tuple[float, np.ndarray]:
+        residual, w = self._residual(y_pred, y_true, weight)
+        return self._value(residual, w), self._gradient(residual, w)
+
+
+class MeanSquaredError(_ResidualLoss):
     """0.5-free MSE: ``mean((pred - true)**2)``; grad is ``2*(pred-true)/N``."""
 
     name = "mse"
 
-    def value(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
-    ) -> float:
-        _check_shapes(y_pred, y_true)
+    def _value(self, residual: np.ndarray, w: np.ndarray | None) -> float:
         # Divergence (overflow to inf) is a reportable outcome, not a bug:
         # Table II marks diverged models explicitly.
         with np.errstate(over="ignore", invalid="ignore"):
-            if weight is None:
-                return float(np.mean((y_pred - y_true) ** 2))
-            w = _row_weights(weight, y_pred)
-            return float(np.mean(w * (y_pred - y_true) ** 2))
+            if w is None:
+                return float(np.mean(residual ** 2))
+            return float(np.mean(w * residual ** 2))
 
-    def gradient(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
+    def _gradient(
+        self, residual: np.ndarray, w: np.ndarray | None
     ) -> np.ndarray:
-        _check_shapes(y_pred, y_true)
-        if weight is None:
-            return 2.0 * (y_pred - y_true) / y_pred.size
-        w = _row_weights(weight, y_pred)
-        return 2.0 * w * (y_pred - y_true) / y_pred.size
+        if w is None:
+            return 2.0 * residual / residual.size
+        return 2.0 * w * residual / residual.size
 
 
-class MeanAbsoluteError(Loss):
+class MeanAbsoluteError(_ResidualLoss):
     """MAE: ``mean(|pred - true|)``; subgradient sign at zero is 0."""
 
     name = "mae"
 
-    def value(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
-    ) -> float:
-        _check_shapes(y_pred, y_true)
-        if weight is None:
-            return float(np.mean(np.abs(y_pred - y_true)))
-        w = _row_weights(weight, y_pred)
-        return float(np.mean(w * np.abs(y_pred - y_true)))
+    def _value(self, residual: np.ndarray, w: np.ndarray | None) -> float:
+        if w is None:
+            return float(np.mean(np.abs(residual)))
+        return float(np.mean(w * np.abs(residual)))
 
-    def gradient(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
+    def _gradient(
+        self, residual: np.ndarray, w: np.ndarray | None
     ) -> np.ndarray:
-        _check_shapes(y_pred, y_true)
-        if weight is None:
-            return np.sign(y_pred - y_true) / y_pred.size
-        w = _row_weights(weight, y_pred)
-        return w * np.sign(y_pred - y_true) / y_pred.size
+        if w is None:
+            return np.sign(residual) / residual.size
+        return w * np.sign(residual) / residual.size
 
 
 _REGISTRY: dict[str, type[Loss]] = {

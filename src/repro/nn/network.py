@@ -198,8 +198,10 @@ class Sequential:
         return out
 
     def _backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
+        # The first layer's input gradient would only flow into the data.
+        self.layers[0].backward(grad, need_input_grad=False)
 
     # -- training ----------------------------------------------------------
     def fit(
@@ -264,8 +266,23 @@ class Sequential:
                 )
         loss_fn = get_loss(loss)
         opt = get_optimizer(optimizer)
+        # Optimizer slot keys, built once: (key, layer, parameter name).
+        slots = [
+            (f"layer{i}/{name}", layer, name)
+            for i, layer in enumerate(self.layers)
+            for name in layer.params
+        ]
+        if validation_data is not None:
+            vx, vy = validation_data
+            vy = self._adapt_target(vy, self.output_dim)
         history = TrainingHistory()
-        indices = np.arange(len(x))
+        if shuffle:
+            indices = np.arange(len(x))
+        else:
+            # In-order batches are contiguous row slices: views of one
+            # C-ordered array hold the same rows, in the same layout, as
+            # fancy-indexed copies, without the copy.
+            x = np.ascontiguousarray(x)
         best_val = np.inf
         stale_epochs = 0
         for _ in range(epochs):
@@ -274,26 +291,26 @@ class Sequential:
             epoch_loss = 0.0
             n_batches = 0
             for start in range(0, len(x), batch_size):
-                batch_idx = indices[start : start + batch_size]
-                xb, yb = x[batch_idx], y[batch_idx]
-                wb = (
-                    sample_weight[batch_idx]
-                    if sample_weight is not None else None
+                batch = (
+                    indices[start : start + batch_size] if shuffle
+                    else slice(start, start + batch_size)
                 )
-                pred = self._forward(xb, training=True)
-                epoch_loss += loss_fn.value(pred, yb, wb)
+                yb = y[batch]
+                pred = self._forward(x[batch], training=True)
+                value, grad = loss_fn.value_and_gradient(
+                    pred, yb,
+                    sample_weight[batch] if sample_weight is not None else None,
+                )
+                epoch_loss += value
                 n_batches += 1
-                self._backward(loss_fn.gradient(pred, yb, wb))
-                self._apply_gradients(opt)
+                self._backward(grad)
+                for key, layer, name in slots:
+                    opt.apply(key, layer.params[name], layer.grads[name])
             mean_loss = epoch_loss / n_batches
             history.train_loss.append(mean_loss)
             history.epochs_run += 1
             if validation_data is not None:
-                vx, vy = validation_data
-                vp = self.predict(vx)
-                history.val_loss.append(
-                    loss_fn.value(vp, self._adapt_target(vy, self.output_dim))
-                )
+                history.val_loss.append(loss_fn.value(self.predict(vx), vy))
             if not np.isfinite(mean_loss):
                 history.diverged = True
                 if stop_on_divergence:
@@ -309,11 +326,6 @@ class Sequential:
                         break
         self._m_epochs.inc(history.epochs_run)
         return history
-
-    def _apply_gradients(self, optimizer: Optimizer) -> None:
-        for i, layer in enumerate(self.layers):
-            for name, param in layer.params.items():
-                optimizer.apply(f"layer{i}/{name}", param, layer.grads[name])
 
     def evaluate(
         self, x: np.ndarray, y: np.ndarray, *, loss: str | Loss = "mse"

@@ -78,7 +78,9 @@ class SimpleRNN(_Recurrent):
             self._cache = {"x": x, "hs": hs, "zs": zs}
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         self._require_built()
         if not self._cache:
             raise ModelError("backward() called before a training forward pass")
@@ -88,14 +90,15 @@ class SimpleRNN(_Recurrent):
         dw = np.zeros_like(w)
         du = np.zeros_like(u)
         db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if need_input_grad else None
         dh = grad_out.copy()
         for t in range(steps - 1, -1, -1):
             dz = dh * self.activation.backward(zs[t], hs[t + 1])
             dw += x[:, t, :].T @ dz
             du += hs[t].T @ dz
             db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ w.T
+            if need_input_grad:
+                dx[:, t, :] = dz @ w.T
             dh = dz @ u.T
         self.grads = {"W": dw, "U": du, "b": db}
         return dx
@@ -141,7 +144,9 @@ class LSTM(_Recurrent):
             self._cache = {"x": x, "steps_cache": cache}
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         self._require_built()
         if not self._cache:
             raise ModelError("backward() called before a training forward pass")
@@ -152,7 +157,7 @@ class LSTM(_Recurrent):
         dw = np.zeros_like(w)
         du = np.zeros_like(u)
         db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if need_input_grad else None
         dh = grad_out.copy()
         dc = np.zeros((batch, self.units))
         for t in range(steps - 1, -1, -1):
@@ -170,7 +175,8 @@ class LSTM(_Recurrent):
             dw += s["xt"].T @ dz
             du += s["h_prev"].T @ dz
             db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ w.T
+            if need_input_grad:
+                dx[:, t, :] = dz @ w.T
             dh = dz @ u.T
             dc = dc * s["f"]
         self.grads = {"W": dw, "U": du, "b": db}
@@ -218,7 +224,9 @@ class GRU(_Recurrent):
             self._cache = {"x": x, "steps_cache": cache}
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, need_input_grad: bool = True
+    ) -> np.ndarray | None:
         self._require_built()
         if not self._cache:
             raise ModelError("backward() called before a training forward pass")
@@ -232,7 +240,7 @@ class GRU(_Recurrent):
         dw = np.zeros_like(w)
         du = np.zeros_like(u)
         db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if need_input_grad else None
         dh = grad_out.copy()
         for t in range(steps - 1, -1, -1):
             s = cache[t]
@@ -254,7 +262,8 @@ class GRU(_Recurrent):
             db[un : 2 * un] += dzr.sum(axis=0)
             db[2 * un :] += dzh.sum(axis=0)
             # input grad
-            dx[:, t, :] = dzz @ wz.T + dzr @ wr.T + dzh @ wh.T
+            if need_input_grad:
+                dx[:, t, :] = dzz @ wz.T + dzr @ wr.T + dzh @ wh.T
             # carry to previous hidden state
             dh = (
                 dh * s["z"]

@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.errors import ReplayDBError
 from repro.observability import get_observability
-from repro.replaydb.records import AccessRecord, MovementRecord
+from repro.replaydb.records import (
+    AccessRecord,
+    MovementRecord,
+    validate_access_columns,
+)
 
 #: the documented default: a private in-memory database (fast, unshared,
 #: gone when the process exits -- simulation runs that need durability
@@ -29,6 +33,19 @@ MEMORY = ":memory:"
 PROBE_FIELDS: tuple[str, ...] = (
     "fid", "fsid", "rb", "wb", "ots", "otms", "cts", "ctms",
 )
+
+
+def _probe_columns(rows: list[tuple]) -> dict[str, np.ndarray]:
+    """:data:`PROBE_FIELDS` rows as checked float64 columns.
+
+    Runs the record read-time checks, so a corrupt row fails a columnar
+    read just as it fails :meth:`ReplayDB.recent_accesses`.
+    """
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(PROBE_FIELDS))
+    columns = {name: data[:, i] for i, name in enumerate(PROBE_FIELDS)}
+    validate_access_columns(columns)
+    return columns
+
 
 #: SQL shared by the eager single-row and deferred bulk insert paths
 _INSERT_ACCESS_SQL = (
@@ -345,6 +362,28 @@ class ReplayDB:
         ).fetchall()
         return [self._to_record(row) for row in rows]
 
+    def recent_access_columns(self, limit: int) -> dict[str, np.ndarray]:
+        """Columnar twin of :meth:`recent_accesses` (no device/fid filter).
+
+        The from-scratch training window: the same chronological last
+        ``limit`` rows, as one float64 array per :data:`PROBE_FIELDS`
+        name, from one query and without building AccessRecords (no JSON
+        decode, no dataclass).  The records' read-time checks still run
+        (vectorized), so a corrupt row raises :class:`ReplayDBError` here
+        too.  An empty table gives zero-length arrays.
+        """
+        if limit <= 0:
+            raise ReplayDBError(f"limit must be positive, got {limit}")
+        self._flush_accesses()
+        self._m_queries.inc()
+        rows = self._conn.execute(
+            f"SELECT {', '.join(PROBE_FIELDS)} FROM accesses "
+            "ORDER BY id DESC LIMIT ?",
+            (limit,),
+        ).fetchall()
+        rows.reverse()
+        return _probe_columns(rows)
+
     def max_rowid(self) -> int:
         """The largest access row id written so far (0 when empty).
 
@@ -564,11 +603,8 @@ class ReplayDB:
             ).fetchall()
         if not rows:
             return [], {}
-        data = np.array(rows, dtype=np.float64)
-        columns = {
-            name: data[:, i] for i, name in enumerate(PROBE_FIELDS)
-        }
-        fid_col = data[:, 0]
+        columns = _probe_columns(rows)
+        fid_col = columns["fid"]
         starts = np.concatenate(
             ([0], np.flatnonzero(np.diff(fid_col)) + 1)
         )

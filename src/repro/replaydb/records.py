@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from repro.errors import ReplayDBError
 from repro.features.throughput import BYTES_PER_GB, access_throughput
 
@@ -103,6 +105,42 @@ class AccessRecord:
     def throughput_gbps(self) -> float:
         """Throughput in GB/s, the unit of Fig. 5 and Table IV."""
         return self.throughput / BYTES_PER_GB
+
+
+def validate_access_columns(columns: dict[str, np.ndarray]) -> None:
+    """:meth:`AccessRecord.__post_init__`'s checks over whole columns.
+
+    Columnar reads skip the dataclass, so they run these vectorized
+    checks instead: a corrupt row raises the same
+    :class:`~repro.errors.ReplayDBError` cases whichever way it is read.
+    The close/open comparison uses the record properties' arithmetic.
+    """
+    rb, wb = columns["rb"], columns["wb"]
+    bad = np.flatnonzero((rb < 0) | (wb < 0))
+    if len(bad):
+        i = bad[0]
+        raise ReplayDBError(
+            f"byte counts must be non-negative (rb={rb[i]:g}, wb={wb[i]:g})"
+        )
+    otms, ctms = columns["otms"], columns["ctms"]
+    bad = np.flatnonzero(
+        (otms < 0) | (otms >= 1000) | (ctms < 0) | (ctms >= 1000)
+    )
+    if len(bad):
+        i = bad[0]
+        raise ReplayDBError(
+            f"millisecond parts must be in [0, 1000): "
+            f"otms={otms[i]:g}, ctms={ctms[i]:g}"
+        )
+    open_time = columns["ots"] + otms / 1000.0
+    close_time = columns["cts"] + ctms / 1000.0
+    bad = np.flatnonzero(close_time <= open_time)
+    if len(bad):
+        i = bad[0]
+        raise ReplayDBError(
+            f"close time {close_time[i]} must be after open time "
+            f"{open_time[i]}"
+        )
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,68 @@ class TestPerFileWindowQueries:
             assert per_device[device] == db.recent_accesses(4, device=device)
 
 
+class TestRecentAccessColumns:
+    """The columnar training-window read."""
+
+    def test_matches_recent_accesses(self, db):
+        from repro.replaydb.db import PROBE_FIELDS
+
+        for i in range(30):
+            db.insert_access(
+                make_access(fid=i % 4, fsid=i % 3, t=i + 1, rb=7 + i, otms=i)
+            )
+        for limit in (1, 12, 30, 100):
+            columns = db.recent_access_columns(limit)
+            records = db.recent_accesses(limit)
+            assert set(columns) == set(PROBE_FIELDS)
+            for name in PROBE_FIELDS:
+                assert list(columns[name]) == [
+                    float(getattr(r, name)) for r in records
+                ]
+
+    def test_sees_buffered_rows(self, db):
+        db.insert_accesses([make_access(t=t) for t in (1, 2, 3)])
+        assert list(db.recent_access_columns(2)["ots"]) == [2.0, 3.0]
+
+    def test_empty_db_gives_empty_columns(self, db):
+        columns = db.recent_access_columns(5)
+        assert all(len(column) == 0 for column in columns.values())
+
+    def test_limit_validated(self, db):
+        with pytest.raises(ReplayDBError):
+            db.recent_access_columns(0)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (dict(rb=-5), "non-negative"),
+            (dict(wb=-1), "non-negative"),
+            (dict(otms=1000), "millisecond"),
+            (dict(ctms=-1), "millisecond"),
+            (dict(cts=100, ctms=0), "after open"),
+        ],
+    )
+    def test_corrupt_row_raises_like_records(self, db, values, message):
+        db.insert_access(make_access(t=99))
+        row = dict(
+            fid=1, fsid=0, device="file0", path="p", rb=1, wb=0, ots=100,
+            otms=0, cts=101, ctms=0, throughput=1.0,
+        )
+        row.update(values)
+        db._conn.execute(
+            f"INSERT INTO accesses ({', '.join(row)}) "
+            f"VALUES ({', '.join('?' for _ in row)})",
+            tuple(row.values()),
+        )
+        with pytest.raises(ReplayDBError, match=message):
+            db.recent_accesses(2)
+        with pytest.raises(ReplayDBError, match=message):
+            db.recent_access_columns(2)
+        # with the bad row gone the window reads again
+        db._conn.execute("DELETE FROM accesses WHERE path = 'p'")
+        assert len(db.recent_access_columns(2)["fid"]) == 1
+
+
 class TestAggregates:
     def test_access_count_per_file(self, db):
         for fid in (1, 1, 2):
