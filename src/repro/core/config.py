@@ -11,17 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.agents.transport import SHED_POLICIES
 from repro.errors import ConfigurationError
 from repro.faults.schedule import parse_fault_event
 from repro.features.pipeline import DEFAULT_LIVE_FEATURES
 from repro.nn.model_zoo import ARCHITECTURES, is_recurrent
-from repro.observability.metrics import DEFAULT_BUCKETS
 
 
 @dataclass
 class GeomancyConfig:
-    """All Geomancy tunables in one place."""
+    """The Geomancy tunables a caller sets.
+
+    Components keep their own defaults for everything else (retry
+    backoff, quarantine, replay prioritization, drift detection,
+    provenance retention, guardrail thresholds).
+    """
 
     model_number: int = 1
     features: tuple[str, ...] = field(default=DEFAULT_LIVE_FEATURES)
@@ -44,10 +47,6 @@ class GeomancyConfig:
     max_files_per_move: int = 14
     #: apply the section V-G MAE-sign adjustment to predictions
     adjust_predictions: bool = True
-    #: continue training the existing weights each cycle ("re-trains a
-    #: neural network using the most recent values") instead of
-    #: reinitializing; warm starts accumulate skill across cycles
-    warm_start: bool = True
     #: act only on cycles whose model out-predicts a constant baseline
     #: (skip the layout otherwise; see TrainingReport.skillful)
     require_skill: bool = True
@@ -62,49 +61,6 @@ class GeomancyConfig:
     #: estimated transfer (the section X future-work gap model,
     #: implemented by repro.core.scheduler.AccessGapScheduler)
     use_gap_scheduler: bool = False
-    #: how many times a failed file move is retried before giving up
-    #: (0 disables retries)
-    max_move_retries: int = 3
-    #: base delay before the first retry; doubles per attempt
-    retry_backoff_s: float = 5.0
-    #: cap on the exponential retry backoff
-    retry_backoff_max_s: float = 300.0
-    #: spread retry delays with seeded full jitter (uniform over the
-    #: capped backoff window) so overload bursts cannot synchronize
-    #: failed moves into a retry storm; off by default so ordinary runs
-    #: stay bit-for-bit identical to the deterministic schedule
-    retry_jitter: bool = False
-    #: -- overload & QoS (repro.agents.qos / BoundedTransport) ------------
-    #: telemetry transport queue capacity in messages (0 = unbounded, the
-    #: legacy behaviour); bounded queues shed per ``queue_shed_policy``
-    telemetry_queue_capacity: int = 0
-    #: what a full bounded queue does with new traffic: "drop-oldest"
-    #: evicts the oldest lowest-priority message, "drop-newest" refuses
-    #: the offer (backpressure), "reject" refuses without displacement
-    queue_shed_policy: str = "drop-oldest"
-    #: put a per-tenant token-bucket admission controller in front of the
-    #: Interface Daemon (control > movement > telemetry priority classes)
-    admission_enabled: bool = False
-    #: default per-tenant sustained ingest rate (records per simulated s)
-    admission_rate_records_s: float = 50_000.0
-    #: per-tenant burst allowance (bucket depth, records)
-    admission_burst_records: int = 10_000
-    #: (tenant, rate) overrides for specific tenants
-    admission_tenant_rates: tuple[tuple[str, float], ...] = ()
-    #: fraction of the burst reserved for control/movement traffic --
-    #: telemetry may not drain the bucket below this floor
-    admission_control_reserve_fraction: float = 0.1
-    #: dead letters kept in the bounded ring store (0 disables the store;
-    #: dead letters are then only counted, the legacy behaviour)
-    dead_letter_capacity: int = 0
-    #: JSONL path the dead-letter ring persists to (None = memory only)
-    dead_letter_path: str | None = None
-    #: consecutive failed moves toward one device before the circuit
-    #: breaker quarantines it from new placements
-    quarantine_threshold: int = 3
-    #: how long a quarantined device is off-limits before one probe move
-    #: is allowed through again
-    quarantine_duration_s: float = 600.0
     #: fault-schedule entries for chaos runs, in the spec-string grammar of
     #: :mod:`repro.faults.schedule` (e.g. "kill:file0@40%"); consumed by
     #: the chaos harness, ignored by ordinary runs
@@ -122,12 +78,6 @@ class GeomancyConfig:
     guardrail_enabled: bool = False
     #: realized-vs-predicted throughput pairs per regression check window
     guardrail_window: int = 4
-    #: trip when realized throughput over the window falls below this
-    #: fraction of what the engine predicted for its own placements
-    guardrail_regression_fraction: float = 0.5
-    #: trip when held-out training error exceeds this multiple of the
-    #: first healthy cycle's error (loss explosion)
-    guardrail_explode_factor: float = 10.0
     #: control cycles the policy stays demoted to the fallback after a trip
     guardrail_cooldown_runs: int = 3
     #: policy used while demoted: "static" (hold layout) or "lru"
@@ -141,44 +91,20 @@ class GeomancyConfig:
     online_epochs: int = 8
     #: most recent new rows consumed per incremental update (burst bound)
     online_max_new_rows: int = 2_048
-    #: prioritized replay buffer capacity (row ids tracked)
-    replay_capacity: int = 20_000
     #: replayed history rows mixed into each incremental update
     replay_sample_rows: int = 256
-    #: prioritization sharpening exponent (0 = uniform)
-    replay_alpha: float = 0.6
-    #: importance-sampling correction strength (0 = none, 1 = full)
-    replay_beta: float = 0.4
-    #: rows after which a buffered row's recency weight halves
-    replay_recency_half_life: float = 10_000.0
     #: frozen-weight snapshot cadence in incremental updates (0 disables);
     #: the guardrail rolls back to the newest snapshot on loss explosion
     target_snapshot_every: int = 10
-    #: rotated weight snapshots kept
-    target_snapshot_keep: int = 3
     #: directory for weight snapshots (None = private temp dir)
     weight_snapshot_dir: str | None = None
-    #: Page-Hinkley drift tolerance on the per-cycle mean relative error
-    drift_delta: float = 0.05
-    #: Page-Hinkley detection threshold on the cumulative statistic
-    drift_threshold: float = 1.0
-    #: incremental cycles before the drift detector may fire
-    drift_min_cycles: int = 8
-    #: online_epochs multiplier for the re-adaptation burst after drift
-    drift_burst_multiplier: int = 4
     #: -- observability (repro.observability) -----------------------------
     #: master switch for the metrics/tracing/event instrumentation; off by
     #: default so ordinary experiment runs pay only no-op handles
     observability_enabled: bool = False
-    #: record counters/gauges/histograms (requires observability_enabled)
-    metrics_enabled: bool = True
-    #: record control-loop spans (requires observability_enabled)
-    trace_enabled: bool = True
     #: fraction of control ticks whose spans are recorded; sampling is
     #: deterministic in the tick index, never an RNG draw
     trace_sample_rate: float = 1.0
-    #: histogram bucket upper bounds (seconds) for latency metrics
-    histogram_buckets: tuple[float, ...] = DEFAULT_BUCKETS
     #: JSONL sink the instrumented harness appends metric snapshots to
     #: (None disables the sink)
     metrics_snapshot_path: str | None = None
@@ -197,10 +123,6 @@ class GeomancyConfig:
     #: JSONL flight-recorder path for the provenance ledger (None keeps
     #: the ledger in memory only)
     provenance_path: str | None = None
-    #: in-memory entries the ledger retains per store (oldest evicted)
-    provenance_max_entries: int = 4096
-    #: bytes after which the provenance JSONL rotates to <path>.1
-    provenance_rotate_bytes: int = 4_000_000
     #: evaluate control-plane SLOs (delivery ratio, queue-delay, throughput
     #: floor) with multi-window burn-rate alerting on the event bus
     slo_enabled: bool = False
@@ -210,9 +132,6 @@ class GeomancyConfig:
     #: measured-run throughput (GB/s) below which the throughput-floor
     #: SLO's budget burns (0 = any positive throughput is good)
     slo_throughput_floor_gbps: float = 0.0
-    #: route sustained SLO burn alerts into the guardrail as external
-    #: trips (requires a guardrail-carrying harness and slo_enabled)
-    slo_arm_guardrail: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -274,70 +193,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"target must be 'throughput' or 'latency', got {self.target!r}"
             )
-        if self.max_move_retries < 0:
-            raise ConfigurationError(
-                f"max_move_retries must be >= 0, got {self.max_move_retries}"
-            )
-        if self.retry_backoff_s <= 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be positive, got {self.retry_backoff_s}"
-            )
-        if self.retry_backoff_max_s < self.retry_backoff_s:
-            raise ConfigurationError(
-                f"retry_backoff_max_s must be >= retry_backoff_s, "
-                f"got {self.retry_backoff_max_s} < {self.retry_backoff_s}"
-            )
-        if self.telemetry_queue_capacity < 0:
-            raise ConfigurationError(
-                f"telemetry_queue_capacity must be >= 0, "
-                f"got {self.telemetry_queue_capacity}"
-            )
-        if self.queue_shed_policy not in SHED_POLICIES:
-            raise ConfigurationError(
-                f"queue_shed_policy must be one of {SHED_POLICIES}, "
-                f"got {self.queue_shed_policy!r}"
-            )
-        if self.admission_rate_records_s <= 0:
-            raise ConfigurationError(
-                f"admission_rate_records_s must be positive, "
-                f"got {self.admission_rate_records_s}"
-            )
-        if self.admission_burst_records < 1:
-            raise ConfigurationError(
-                f"admission_burst_records must be >= 1, "
-                f"got {self.admission_burst_records}"
-            )
-        # Checkpoint round trips deserialize tuples as lists; normalize
-        # before validating the tenant overrides.
-        self.admission_tenant_rates = tuple(
-            (str(tenant), float(rate))
-            for tenant, rate in self.admission_tenant_rates
-        )
-        if any(rate <= 0 for _, rate in self.admission_tenant_rates):
-            raise ConfigurationError(
-                f"admission_tenant_rates must all be positive, "
-                f"got {self.admission_tenant_rates}"
-            )
-        if not 0.0 <= self.admission_control_reserve_fraction < 1.0:
-            raise ConfigurationError(
-                f"admission_control_reserve_fraction must be in [0, 1), "
-                f"got {self.admission_control_reserve_fraction}"
-            )
-        if self.dead_letter_capacity < 0:
-            raise ConfigurationError(
-                f"dead_letter_capacity must be >= 0, "
-                f"got {self.dead_letter_capacity}"
-            )
-        if self.quarantine_threshold < 1:
-            raise ConfigurationError(
-                f"quarantine_threshold must be >= 1, "
-                f"got {self.quarantine_threshold}"
-            )
-        if self.quarantine_duration_s <= 0:
-            raise ConfigurationError(
-                f"quarantine_duration_s must be positive, "
-                f"got {self.quarantine_duration_s}"
-            )
         if self.checkpoint_every < 0:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -349,16 +204,6 @@ class GeomancyConfig:
         if self.guardrail_window < 1:
             raise ConfigurationError(
                 f"guardrail_window must be >= 1, got {self.guardrail_window}"
-            )
-        if not 0.0 < self.guardrail_regression_fraction < 1.0:
-            raise ConfigurationError(
-                f"guardrail_regression_fraction must be in (0, 1), "
-                f"got {self.guardrail_regression_fraction}"
-            )
-        if self.guardrail_explode_factor <= 1.0:
-            raise ConfigurationError(
-                f"guardrail_explode_factor must be > 1, "
-                f"got {self.guardrail_explode_factor}"
             )
         if self.guardrail_cooldown_runs < 1:
             raise ConfigurationError(
@@ -386,83 +231,20 @@ class GeomancyConfig:
                 f"online_max_new_rows must be >= 1, "
                 f"got {self.online_max_new_rows}"
             )
-        if self.replay_capacity < 1:
-            raise ConfigurationError(
-                f"replay_capacity must be >= 1, got {self.replay_capacity}"
-            )
         if self.replay_sample_rows < 0:
             raise ConfigurationError(
                 f"replay_sample_rows must be >= 0, "
                 f"got {self.replay_sample_rows}"
-            )
-        if self.replay_alpha < 0:
-            raise ConfigurationError(
-                f"replay_alpha must be >= 0, got {self.replay_alpha}"
-            )
-        if not 0.0 <= self.replay_beta <= 1.0:
-            raise ConfigurationError(
-                f"replay_beta must be in [0, 1], got {self.replay_beta}"
-            )
-        if self.replay_recency_half_life <= 0:
-            raise ConfigurationError(
-                f"replay_recency_half_life must be positive, "
-                f"got {self.replay_recency_half_life}"
             )
         if self.target_snapshot_every < 0:
             raise ConfigurationError(
                 f"target_snapshot_every must be >= 0, "
                 f"got {self.target_snapshot_every}"
             )
-        if self.target_snapshot_keep < 1:
-            raise ConfigurationError(
-                f"target_snapshot_keep must be >= 1, "
-                f"got {self.target_snapshot_keep}"
-            )
-        if self.drift_delta < 0:
-            raise ConfigurationError(
-                f"drift_delta must be >= 0, got {self.drift_delta}"
-            )
-        if self.drift_threshold <= 0:
-            raise ConfigurationError(
-                f"drift_threshold must be positive, got {self.drift_threshold}"
-            )
-        if self.drift_min_cycles < 1:
-            raise ConfigurationError(
-                f"drift_min_cycles must be >= 1, got {self.drift_min_cycles}"
-            )
-        if self.drift_burst_multiplier < 1:
-            raise ConfigurationError(
-                f"drift_burst_multiplier must be >= 1, "
-                f"got {self.drift_burst_multiplier}"
-            )
         if not 0.0 < self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 f"trace_sample_rate must be in (0, 1], "
                 f"got {self.trace_sample_rate}"
-            )
-        # Checkpoint round trips deserialize tuples as lists; normalize.
-        self.histogram_buckets = tuple(
-            float(b) for b in self.histogram_buckets
-        )
-        if not self.histogram_buckets:
-            raise ConfigurationError("histogram_buckets must be non-empty")
-        if any(
-            b2 <= b1
-            for b1, b2 in zip(self.histogram_buckets, self.histogram_buckets[1:])
-        ):
-            raise ConfigurationError(
-                f"histogram_buckets must be strictly increasing, "
-                f"got {self.histogram_buckets}"
-            )
-        if self.provenance_max_entries < 1:
-            raise ConfigurationError(
-                f"provenance_max_entries must be >= 1, "
-                f"got {self.provenance_max_entries}"
-            )
-        if self.provenance_rotate_bytes < 4096:
-            raise ConfigurationError(
-                f"provenance_rotate_bytes must be >= 4096, "
-                f"got {self.provenance_rotate_bytes}"
             )
         if self.provenance_enabled and not self.causal_tracing_enabled:
             raise ConfigurationError(
@@ -478,10 +260,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"slo_throughput_floor_gbps must be >= 0, "
                 f"got {self.slo_throughput_floor_gbps}"
-            )
-        if self.slo_arm_guardrail and not self.slo_enabled:
-            raise ConfigurationError(
-                "slo_arm_guardrail requires slo_enabled"
             )
         for spec in self.fault_schedule:
             # Raises ConfigurationError on a malformed entry.

@@ -36,6 +36,10 @@ from repro.replaydb.replay_buffer import PrioritizedReplay
 
 #: telemetry rows the ReplayDB must hold before the engine first trains
 MIN_TRAINING_ROWS = 50
+#: ReplayDB row ids the online prioritized replay buffer tracks
+REPLAY_CAPACITY = 20_000
+#: online_epochs multiplier for the re-adaptation burst after drift
+DRIFT_BURST_MULTIPLIER = 4
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -201,22 +205,13 @@ class DRLEngine:
         self.drift_detector: PageHinkley | None = None
         if self.config.online_learning:
             self.replay = PrioritizedReplay(
-                self.config.replay_capacity,
-                alpha=self.config.replay_alpha,
-                beta=self.config.replay_beta,
-                recency_half_life=self.config.replay_recency_half_life,
-                seed=self.config.seed,
+                REPLAY_CAPACITY, seed=self.config.seed
             )
             if self.config.target_snapshot_every > 0:
                 self.snapshots = WeightSnapshotStore(
-                    self.config.weight_snapshot_dir,
-                    keep=self.config.target_snapshot_keep,
+                    self.config.weight_snapshot_dir
                 )
-            self.drift_detector = PageHinkley(
-                delta=self.config.drift_delta,
-                threshold=self.config.drift_threshold,
-                min_samples=self.config.drift_min_cycles,
-            )
+            self.drift_detector = PageHinkley()
         metrics = self.obs.metrics
         self._m_train_rows = metrics.counter(
             "repro_engine_train_rows_total",
@@ -306,7 +301,7 @@ class DRLEngine:
                 if self._recurrent:
                     x, y = make_windows(x, y, self.config.timesteps)
                 xt, yt, xv, yv, xs, ys = train_val_test_split(x, y)
-            if not (self.config.warm_start and self.trained):
+            if not self.trained:
                 self.model = self._fresh_model()
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate
@@ -535,7 +530,7 @@ class DRLEngine:
             if self.capture_provenance:
                 self.last_feature_digest = _digest(x)
             epochs = self.config.online_epochs * (
-                self.config.drift_burst_multiplier if drift else 1
+                DRIFT_BURST_MULTIPLIER if drift else 1
             )
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate

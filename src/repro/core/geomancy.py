@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 
 from repro.agents.control import ControlAgent
 from repro.agents.daemon import InterfaceDaemon
-from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.qos import AdmissionController
-from repro.agents.transport import BoundedTransport, InMemoryTransport
+from repro.agents.transport import InMemoryTransport
 from repro.core.action_checker import ActionChecker
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, TrainingReport
@@ -93,19 +91,11 @@ class Geomancy:
         self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
         # The telemetry channel is injectable so chaos runs can swap in a
-        # lossy transport; the command channel stays internal.  With a
-        # configured queue capacity the default becomes a bounded
-        # priority transport, so overload sheds telemetry instead of
-        # growing memory without limit.
-        if telemetry is not None:
-            self.telemetry = telemetry
-        elif self.config.telemetry_queue_capacity > 0:
-            self.telemetry = BoundedTransport(
-                capacity=self.config.telemetry_queue_capacity,
-                policy=self.config.queue_shed_policy,
-            )
-        else:
-            self.telemetry = InMemoryTransport()
+        # lossy transport (or overload runs a bounded one); the command
+        # channel stays internal.
+        self.telemetry = (
+            telemetry if telemetry is not None else InMemoryTransport()
+        )
         #: optional write-ahead :class:`repro.recovery.journal.LayoutJournal`;
         #: when set, every dispatched layout is bracketed by intent/commit
         #: records so a crash mid-movement is resolvable on restore
@@ -116,49 +106,16 @@ class Geomancy:
             event_log if event_log is not None else EventLog(bus=self.obs.bus)
         )
         self.commands = InMemoryTransport()
-        #: per-tenant token-bucket admission in front of the daemon; None
-        #: (the default) keeps the legacy ingest-everything behaviour
-        self.admission = (
-            AdmissionController(
-                rate_records_s=self.config.admission_rate_records_s,
-                burst_records=self.config.admission_burst_records,
-                tenant_rates=dict(self.config.admission_tenant_rates),
-                control_reserve_fraction=(
-                    self.config.admission_control_reserve_fraction
-                ),
-            )
-            if self.config.admission_enabled
-            else None
-        )
-        self.dead_letter_store = (
-            DeadLetterStore(
-                capacity=self.config.dead_letter_capacity,
-                path=self.config.dead_letter_path,
-            )
-            if self.config.dead_letter_capacity > 0
-            else None
-        )
         self.daemon = InterfaceDaemon(
-            self.db, self.telemetry, self.commands, obs=self.obs,
-            admission=self.admission,
-            dead_letter_store=self.dead_letter_store,
+            self.db, self.telemetry, self.commands, obs=self.obs
         )
         self.monitors = {
             name: MonitoringAgent(name, self.telemetry)
             for name in cluster.device_names
         }
-        self.health = HealthTracker(
-            quarantine_threshold=self.config.quarantine_threshold,
-            quarantine_duration_s=self.config.quarantine_duration_s,
-        )
+        self.health = HealthTracker()
         self.control = ControlAgent(
-            cluster,
-            max_move_retries=self.config.max_move_retries,
-            retry_backoff_s=self.config.retry_backoff_s,
-            retry_backoff_max_s=self.config.retry_backoff_max_s,
-            retry_jitter=self.config.retry_jitter,
-            seed=self.config.seed,
-            health=self.health,
+            cluster, seed=self.config.seed, health=self.health
         )
         self.engine = DRLEngine(self.config, obs=self.obs)
         self.checker = ActionChecker(
@@ -178,11 +135,7 @@ class Geomancy:
         self._decision_seq = 0
         self._movement_rows = 0
         if self.config.causal_tracing_enabled:
-            self.ledger = ProvenanceLedger(
-                self.config.provenance_path,
-                max_entries=self.config.provenance_max_entries,
-                rotate_bytes=self.config.provenance_rotate_bytes,
-            )
+            self.ledger = ProvenanceLedger(self.config.provenance_path)
             self.causal = CausalContext(self.ledger)
             self.telemetry.causal = self.causal
             self.commands.causal = self.causal

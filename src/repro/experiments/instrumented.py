@@ -171,8 +171,6 @@ def run_instrumented(
                 queue_delay_threshold_s=config.slo_queue_delay_threshold_s,
                 throughput_floor_gbps=config.slo_throughput_floor_gbps,
             )
-            if config.slo_arm_guardrail and geo.guardrail is not None:
-                monitor.arm(geo.guardrail)
 
         injector = install_faults(
             geo.cluster,

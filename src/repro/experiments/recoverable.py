@@ -28,14 +28,14 @@ just after the commit.  All raise :class:`~repro.errors.SimulatedCrash`.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
-from repro.errors import ExperimentError, SimulatedCrash
+from repro.errors import ConfigurationError, ExperimentError, SimulatedCrash
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.loop import (
     MovementHistory,
@@ -161,8 +161,6 @@ def _build_guardrail(geo: Geomancy) -> Guardrail | None:
         return None
     return Guardrail(
         window=config.guardrail_window,
-        regression_fraction=config.guardrail_regression_fraction,
-        explode_factor=config.guardrail_explode_factor,
         cooldown_runs=config.guardrail_cooldown_runs,
         fallback=config.fallback_policy,
         event_log=geo.event_log,
@@ -309,6 +307,13 @@ def resume_recoverable(
     meta = state["meta"]
     scale = ExperimentScale(**meta["scale"])
     config_raw = dict(meta["config"])
+    known = {f.name for f in fields(GeomancyConfig)}
+    unknown = sorted(set(config_raw) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"checkpoint config has fields GeomancyConfig does not know: "
+            f"{unknown}; it was written by an incompatible version"
+        )
     config_raw["features"] = tuple(config_raw["features"])
     config_raw["fault_schedule"] = tuple(config_raw["fault_schedule"])
     config = GeomancyConfig(**config_raw)

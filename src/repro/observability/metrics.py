@@ -222,14 +222,8 @@ def _format_value(value: float) -> str:
 class MetricsRegistry:
     """Get-or-create registry of named counters/gauges/histograms."""
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        default_buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self.default_buckets = tuple(default_buckets)
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def __len__(self) -> int:
@@ -268,7 +262,7 @@ class MetricsRegistry:
             return NULL_HISTOGRAM
         return self._get_or_create(
             Histogram, name, help,
-            buckets=tuple(buckets) if buckets is not None else self.default_buckets,
+            buckets=tuple(buckets) if buckets is not None else DEFAULT_BUCKETS,
         )
 
     def get(self, name: str):

@@ -203,6 +203,13 @@ class TestBackoffJitter:
                 make_cluster(), retry_backoff_s=5.0, retry_backoff_max_s=1.0
             )
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_move_retries": -1}, {"retry_backoff_s": 0.0}]
+    )
+    def test_invalid_retry_parameters_rejected(self, kwargs):
+        with pytest.raises(AgentError):
+            ControlAgent(make_cluster(), **kwargs)
+
     def test_jitter_off_by_default_and_deterministic(self):
         control = ControlAgent(make_cluster(), retry_backoff_s=4.0)
         assert control.retry_jitter is False

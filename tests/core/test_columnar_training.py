@@ -107,7 +107,7 @@ class TestColumnarTrainingMatchesRecords:
                 rows=120, files=16, locations=LOCATIONS, seed=10 + round_
             )
 
-        config = _config(warm_start=True)
+        config = _config()
         columnar, records, pairs = _train_both(
             config, _db(), rounds=3, more_rows=more
         )

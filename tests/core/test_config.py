@@ -40,10 +40,16 @@ class TestValidation:
             {"exploration_rate": 1.5},
             {"cooldown_runs": 0},
             {"max_files_per_move": 0},
-            {"max_move_retries": -1},
-            {"retry_backoff_s": 0.0},
-            {"quarantine_threshold": 0},
-            {"quarantine_duration_s": 0.0},
+            {"probe_samples": 0},
+            {"min_gain_fraction": -0.1},
+            {"max_actionable_mare": 0.0},
+            {"online_epochs": 0},
+            {"online_max_new_rows": 0},
+            {"replay_sample_rows": -1},
+            {"trace_sample_rate": 0.0},
+            {"slo_queue_delay_threshold_s": 0.0},
+            {"slo_throughput_floor_gbps": -1.0},
+            {"provenance_enabled": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -70,14 +76,7 @@ class TestExtensionKnobs:
 
 class TestResilienceKnobs:
     def test_defaults(self):
-        config = GeomancyConfig()
-        assert config.max_move_retries == 3
-        assert config.retry_backoff_s == 5.0
-        assert config.quarantine_threshold == 3
-        assert config.fault_schedule == ()
-
-    def test_zero_retries_allowed(self):
-        assert GeomancyConfig(max_move_retries=0).max_move_retries == 0
+        assert GeomancyConfig().fault_schedule == ()
 
     def test_fault_schedule_specs_validated(self):
         config = GeomancyConfig(
@@ -95,8 +94,6 @@ class TestRecoveryKnobs:
         assert config.checkpoint_keep == 3
         assert not config.guardrail_enabled
         assert config.guardrail_window == 4
-        assert config.guardrail_regression_fraction == 0.5
-        assert config.guardrail_explode_factor == 10.0
         assert config.guardrail_cooldown_runs == 3
         assert config.fallback_policy == "static"
 
@@ -114,9 +111,9 @@ class TestRecoveryKnobs:
             {"checkpoint_every": -1},
             {"checkpoint_keep": 0},
             {"guardrail_window": 0},
-            {"guardrail_regression_fraction": 0.0},
-            {"guardrail_regression_fraction": 1.0},
-            {"guardrail_explode_factor": 1.0},
+            {"target_snapshot_every": -1},
+            {"fallback_policy": ""},
+            {"guardrail_cooldown_runs": -1},
             {"guardrail_cooldown_runs": 0},
             {"fallback_policy": "random"},
         ],

@@ -90,16 +90,8 @@ class TestTraining:
         report = engine.train_on_records(synthetic_records(200))
         assert report.epochs == 20
 
-    def test_retraining_without_warm_start_resets_model(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=False))
-        records = synthetic_records(100)
-        engine.train_on_records(records)
-        first = engine.model
-        engine.train_on_records(records)
-        assert engine.model is not first
-
     def test_warm_start_keeps_model_instance(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=True))
+        engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
         engine.train_on_records(records)
         first = engine.model
@@ -107,7 +99,7 @@ class TestTraining:
         assert engine.model is first
 
     def test_warm_start_freezes_normalization(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=True))
+        engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
         engine.train_on_records(records)
         norm_min = engine.pipeline._x_norm._min.copy()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GeomancyConfig
+from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
 from repro.experiments.decision_bench import synthetic_decision_records
@@ -147,14 +148,8 @@ class TestIncrementalCycle:
 class TestDrift:
     def test_distribution_shift_detected_with_burst(self):
         obs = Observability()
-        engine = DRLEngine(
-            make_config(
-                drift_threshold=0.2,
-                drift_min_cycles=2,
-                drift_burst_multiplier=4,
-            ),
-            obs=obs,
-        )
+        engine = DRLEngine(make_config(), obs=obs)
+        engine.drift_detector = PageHinkley(threshold=0.2, min_samples=2)
         db = ReplayDB()
         t = 1_600_000_000
         # Bootstrap and stationary cycles draw from the same generator,

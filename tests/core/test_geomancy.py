@@ -198,34 +198,20 @@ class TestQosWiring:
         assert type(geo.telemetry) is InMemoryTransport
         assert geo.telemetry.maxsize is None
         assert not isinstance(geo.telemetry, BoundedTransport)
-        assert geo.admission is None
-        assert geo.dead_letter_store is None
         assert geo.daemon.admission is None
+        assert geo.daemon.dead_letter_store is None
 
-    def test_qos_knobs_wire_through(self, tmp_path):
-        cluster = make_bluesky_cluster(seed=0)
-        files = belle2_file_population(seed=0)
-        geo = Geomancy(cluster, files, quick_config(
-            telemetry_queue_capacity=16,
-            queue_shed_policy="reject",
-            admission_enabled=True,
-            admission_rate_records_s=100.0,
-            admission_burst_records=20,
-            admission_tenant_rates=(("belle2", 50.0),),
-            dead_letter_capacity=8,
-            dead_letter_path=str(tmp_path / "dead.jsonl"),
-        ))
+    def test_qos_knobs_wire_through(self):
         from repro.agents.transport import BoundedTransport
 
-        assert isinstance(geo.telemetry, BoundedTransport)
-        assert geo.telemetry.capacity == 16
-        assert geo.telemetry.policy == "reject"
-        assert geo.admission is not None
-        assert geo.admission.tenant_rates == {"belle2": 50.0}
-        assert geo.daemon.admission is geo.admission
-        assert geo.dead_letter_store is not None
-        assert geo.dead_letter_store.capacity == 8
-        assert geo.daemon.dead_letter_store is geo.dead_letter_store
+        bounded = BoundedTransport(capacity=16, policy="reject")
+        geo = Geomancy(
+            make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
+            quick_config(), telemetry=bounded,
+        )
+        assert geo.telemetry is bounded
+        assert geo.daemon.telemetry is bounded
+        assert all(m.transport is bounded for m in geo.monitors.values())
 
     def test_qos_off_runs_are_bit_identical(self):
         def outcome():
@@ -246,3 +232,34 @@ class TestQosWiring:
             )
 
         assert outcome() == outcome()
+
+
+class TestComponentDefaults:
+    """Components built by the facade carry their own defaults."""
+
+    def test_defaults_match_the_paper_configuration(self):
+        geo = Geomancy(
+            make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
+            GeomancyConfig(online_learning=True, causal_tracing_enabled=True),
+        )
+        control = geo.control
+        assert control.max_move_retries == 3
+        assert control.retry_backoff_s == 5.0
+        assert control.retry_backoff_max_s == 300.0
+        assert not control.retry_jitter
+        assert geo.health.quarantine_threshold == 3
+        assert geo.health.quarantine_duration_s == 600.0
+        replay = geo.engine.replay
+        assert replay.capacity == 20_000
+        assert replay.alpha == 0.6
+        assert replay.beta == 0.4
+        assert replay.recency_half_life == 10_000.0
+        drift = geo.engine.drift_detector
+        assert drift.delta == 0.05
+        assert drift.threshold == 1.0
+        assert drift.min_samples == 8
+        assert geo.engine.snapshots.keep == 3
+        assert geo.ledger.max_entries == 4096
+        assert geo.ledger.rotate_bytes == 4_000_000
+        assert geo.daemon.admission is None
+        assert geo.daemon.dead_letter_store is None

@@ -304,3 +304,21 @@ class TestStateIntrospection:
         assert state["meta"]["seed"] == 0
         assert state["meta"]["scale"]["name"] == "test"
         assert "system" in state and "loop" in state
+
+
+class TestIncompatibleCheckpoint:
+    def test_unknown_config_field_raises_configuration_error(self, tmp_path):
+        from dataclasses import asdict
+
+        from repro.core.config import GeomancyConfig
+        from repro.errors import ConfigurationError
+        from repro.experiments.spec import TEST_SCALE
+        from repro.recovery.checkpoint import CheckpointManager
+
+        config = asdict(GeomancyConfig())
+        config["retry_jitter"] = False
+        meta = {"scale": asdict(TEST_SCALE), "seed": 0, "config": config}
+        CheckpointManager(tmp_path).save(5, {"meta": meta})
+
+        with pytest.raises(ConfigurationError, match="retry_jitter"):
+            resume_recoverable(tmp_path)
